@@ -347,14 +347,21 @@ def test_sharded_outputs_exact():
 #: row-partitioned tiled-blur item it closes) targets: the staged path
 #: streams several full-frame float64 temporaries through main memory
 #: per stage, the fused path streams the frame once through band
-#: scratch.  Wide kernels (>= FFT_CROSSOVER_TAPS) shift the staged path
-#: onto full-plane FFTs whose transform-length amortization a band
-#: engine cannot match — sigma 4 measures ~1.4x, sigma 16 ~0.5x (see
-#: docs/architecture.md's regime table) — so the >= 1.5x gate is pinned
-#: where the engine is meant to run, with the masks bit-identical.
+#: scratch.  The narrow kernel keeps the fused bands folded, so the
+#: >= 1.5x gate comes with bit-identical masks; wide kernels run GEMM
+#: bands, within 1e-9 of the staged FFT (docs/architecture.md's regime
+#: table has both).
 FUSED_SIZE = 1024
 FUSED_FRAMES = 3
 FUSED_PARAMS = ToneMapParams(sigma=2.0)
+
+
+def _staged_oracle(params):
+    """A mapper pinned to the staged engine: the fused engine's oracle."""
+    from repro.planner import pinned, plan_for
+
+    plan = plan_for(FUSED_SIZE, FUSED_SIZE, sigma=params.sigma)
+    return BatchToneMapper(params, plan=pinned(plan, engine="staged"))
 
 
 def _fused_stack():
@@ -409,8 +416,8 @@ def test_fused_vs_staged_1024(benchmark):
     """
     stack = _fused_stack()
     out = np.empty(stack.shape, dtype=np.float32)
-    staged = BatchToneMapper(FUSED_PARAMS)
-    fused = BatchToneMapper(FUSED_PARAMS, fused=True, threads=1)
+    staged = _staged_oracle(FUSED_PARAMS)
+    fused = BatchToneMapper(FUSED_PARAMS, threads=1)
     fused.run_stack(stack, out=out)  # warm: scratch allocated, caches hot
     before = fused.fused_stats
     benchmark.pedantic(
@@ -448,8 +455,8 @@ def test_fused_threads_1024(benchmark):
     """
     stack = _fused_stack()
     out = np.empty(stack.shape, dtype=np.float32)
-    single = BatchToneMapper(FUSED_PARAMS, fused=True, threads=1)
-    threaded = BatchToneMapper(FUSED_PARAMS, fused=True, threads=2)
+    single = BatchToneMapper(FUSED_PARAMS, threads=1)
+    threaded = BatchToneMapper(FUSED_PARAMS, threads=2)
     single.run_stack(stack, out=out)
     threaded.run_stack(stack, out=out)  # warm both workers' scratch
     threaded.run_stack(stack, out=out)
@@ -497,18 +504,16 @@ def test_planner_dispatch_1024(benchmark):
         sigma=FUSED_PARAMS.sigma,
         threads=1,
     )
-    # The manual PR 5 configuration is fused=True with the folded
-    # horizontal window; plan.blur_method describes the *staged
-    # reference* path (tiled here — the 1024² plane sits exactly at
+    # The hand-tuned configuration is the fused engine with folded
+    # bands; plan.blur_method describes the *staged reference* path
+    # (tiled here — the 1024² plane sits exactly at
     # tiled_min_plane_bytes), so it is not part of the match.
-    matches = float(
-        plan.engine == "fused" and plan.fused_h_method == "folded"
-    )
+    matches = float(plan.engine == "fused" and plan.band_method == "folded")
     assert matches == 1.0, (
         f"planner diverged from the hand-tuned path: {plan.decision()}"
     )
     out = np.empty(stack.shape, dtype=np.float32)
-    manual = BatchToneMapper(FUSED_PARAMS, fused=True, threads=1)
+    manual = BatchToneMapper(FUSED_PARAMS, threads=1)
     planned = BatchToneMapper(FUSED_PARAMS, plan=plan)
     assert planned.fused
     planned.run_stack(stack, out=out)  # warm scratch
@@ -532,23 +537,26 @@ def test_planner_dispatch_1024(benchmark):
 
 
 def test_fused_outputs_exact():
-    """Fused vs staged bit-identity on the folded path, sharded too.
+    """Fused vs the staged oracle, in-process, threaded and sharded.
 
     A plain (non-benchmark-fixture) test so it also runs under
     ``--benchmark-disable`` in the CI smoke job.  sigma 2 keeps the blur
-    on the folded row convolution, where the contract is bit-identity —
-    through the in-process mapper, the threaded engine, and fused shard
-    workers.
+    on the folded row convolution, where the contract is bit-identity
+    with the staged oracle; sigma 16 runs GEMM bands, within 1e-9 of the
+    staged FFT.  Either way shard workers (one fused thread each) match
+    the two-thread in-process engine bit for bit.
     """
-    params = ToneMapParams(sigma=2.0)
     stack = _data_plane_stack()[:, :96, :96].copy()
-    want = BatchToneMapper(params).run_stack(stack).astype(np.float32)
-    fused = BatchToneMapper(params, fused=True, threads=2)
-    got = fused.run_stack(stack).astype(np.float32)
-    np.testing.assert_array_equal(got, want)
-    with ShardPool(params, shards=2, fused=True, fused_threads=1) as pool:
-        sharded = pool.run_stack(stack)
-    np.testing.assert_array_equal(sharded, want)
+    for sigma, atol in ((2.0, 0.0), (16.0, 1e-9)):
+        params = ToneMapParams(sigma=sigma)
+        want = _staged_oracle(params).run_stack(stack)
+        fused = BatchToneMapper(params, threads=2)
+        got = fused.run_stack(stack)
+        fused.close()
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
+        with ShardPool(params, shards=2, fused_threads=1) as pool:
+            sharded = pool.run_stack(stack)
+        np.testing.assert_array_equal(sharded, got.astype(np.float32))
 
 
 # ----------------------------------------------------------------------

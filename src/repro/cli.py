@@ -31,11 +31,11 @@ workload; ``--deadline-ms`` / ``--shard-timeout-ms`` / ``--breaker`` /
 ``--fault-plan`` arm the reliability layer (per-frame latency budgets,
 the hung-shard watchdog + hedged replay, circuit-breaker brownout to
 the in-process mapper, and seeded chaos injection — the counters land
-in the report); ``--fused`` (with ``--threads N``) runs batches through the
-fused band engine — single-pass tiled stages with no full-frame
-intermediates (:mod:`repro.runtime.fused`); ``--plan auto`` lets the
-execution planner (:mod:`repro.planner`) pick the engine and blur path
-from the workload and the host calibration instead (``--plan FILE``
+in the report).  Float batches run the fused band engine — single-pass
+tiled stages with no full-frame intermediates
+(:mod:`repro.runtime.fused`), ``--threads N`` workers per mapper;
+``--plan auto`` records the execution planner's (:mod:`repro.planner`)
+decisions for the workload and the host calibration (``--plan FILE``
 replays a saved plan).  ``planner explain`` prints the plan and its
 cost rationale for a described workload without running anything;
 ``planner calibrate`` measures this host's dispatch crossovers and can
@@ -126,21 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--sigma", type=float, default=None,
-        help="Gaussian mask sigma (default: the paper's 16). Narrow "
-             "kernels (e.g. 2-4) are the regime where --fused wins",
-    )
-    batch.add_argument(
-        "--fused", action="store_true",
-        help="run batches through the fused band engine (single-pass "
-             "tiled stages, no full-frame intermediates; float-only — "
-             "incompatible with --fixed). Fastest with narrow kernels "
-             "(--sigma 2-4); wide kernels stay faster on the staged "
-             "full-plane FFT path",
+        help="Gaussian mask sigma (default: the paper's 16)",
     )
     batch.add_argument(
         "--threads", type=int, default=None,
-        help="fused worker threads per mapper/worker process (default: "
-             "REPRO_FUSED_THREADS env, else CPU count; requires --fused)",
+        help="fused-engine worker threads per mapper/worker process "
+             "(default: REPRO_FUSED_THREADS env, else CPU count; 1 per "
+             "shard worker); float only — --fixed runs staged",
     )
     batch.add_argument(
         "--shards", type=int, default=None,
@@ -278,10 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--fixed", action="store_true",
         help="use the bit-accurate 16-bit fixed-point blur",
-    )
-    serve.add_argument(
-        "--fused", action="store_true",
-        help="run batches through the fused band engine",
     )
     serve.add_argument(
         "--sigma", type=float, default=None,
@@ -431,13 +419,11 @@ def run_batch(args) -> None:
 
     # Flag validation first: a usage error must not cost the caller the
     # synthetic-image generation below.
-    if args.fused and args.fixed:
+    if args.threads is not None and args.fixed:
         raise SystemExit(
-            "--fused is float-only (the fused engine is the blur); "
-            "drop --fused or --fixed"
+            "--threads sizes the fused engine, which is float-only (it "
+            "is the blur); --fixed runs the staged path"
         )
-    if args.threads is not None and not (args.fused or args.plan):
-        raise SystemExit("--threads requires --fused or --plan")
     if args.threads is not None and args.threads < 1:
         raise SystemExit(f"--threads must be >= 1, got {args.threads}")
     if args.deadline_ms is not None and args.deadline_ms <= 0:
@@ -489,17 +475,6 @@ def run_batch(args) -> None:
         ToneMapParams() if args.sigma is None
         else ToneMapParams(sigma=args.sigma)
     )
-    if args.fused:
-        from repro.planner.profile import active_profile
-
-        if params.kernel().taps >= active_profile().fused_fft_min_taps:
-            print(
-                f"note: sigma {params.sigma:g} gives a "
-                f"{params.kernel().taps}-tap kernel — the staged "
-                "full-plane FFT path is usually faster there; --fused "
-                "wins on narrow kernels (try --sigma 2)",
-                file=sys.stderr,
-            )
     images = _batch_images(args)
     plan = None
     if args.plan is not None:
@@ -524,7 +499,7 @@ def run_batch(args) -> None:
             )
         print(
             f"planner: engine={plan.engine} blur={plan.blur_method} "
-            f"fused_h={plan.fused_h_method} threads={plan.threads} "
+            f"bands={plan.band_method} threads={plan.threads} "
             f"(profile: {plan.profile.source})",
             file=sys.stderr,
         )
@@ -598,7 +573,6 @@ def run_batch(args) -> None:
         autoscale=args.autoscale,
         autoscale_policy=autoscale_policy,
         arena_slots=4 if args.arena_slots is None else args.arena_slots,
-        fused=args.fused,
         fused_threads=args.threads,
         plan=plan,
         shard_timeout_ms=args.shard_timeout_ms,
@@ -675,11 +649,20 @@ def run_batch(args) -> None:
     print(f"  blur          : {blur_name}")
     if plan is not None:
         print(f"  plan          : engine={plan.engine} "
-              f"blur={plan.blur_method} fused_h={plan.fused_h_method} "
+              f"blur={plan.blur_method} bands={plan.band_method} "
               f"(profile: {plan.profile.source})")
-    if args.fused:
+    if args.fixed or (plan is not None and plan.engine == "staged"):
+        print("  engine        : staged stack execution")
+    else:
+        from repro.planner.profile import select_band_method
+
         threads = args.threads if args.threads is not None else "auto"
-        print(f"  engine        : fused band dataflow ({threads} threads)")
+        bands = (
+            plan.band_method if plan is not None
+            else select_band_method(params.kernel().taps)
+        )
+        print(f"  engine        : fused band dataflow ({threads} threads, "
+              f"{bands} bands)")
     print(f"  mode          : {mode}")
     print(f"  batch size    : {args.batch_size}")
     if hosts is not None:
@@ -773,11 +756,6 @@ def run_serve_host(args) -> int:
     from repro.tonemap.fixed_blur import FixedBlurConfig
     from repro.tonemap.pipeline import ToneMapParams
 
-    if args.fused and args.fixed:
-        raise SystemExit(
-            "--fused is float-only (the fused engine is the blur); "
-            "drop --fused or --fixed"
-        )
     if args.shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
     if args.shard_timeout_ms is not None and args.shard_timeout_ms <= 0:
@@ -793,7 +771,6 @@ def run_serve_host(args) -> int:
             params=params,
             shards=args.shards,
             fixed_config=FixedBlurConfig() if args.fixed else None,
-            fused=args.fused,
             arena_slots=args.arena_slots,
             default_timeout_ms=args.shard_timeout_ms,
             faults=args.fault_plan,

@@ -30,10 +30,7 @@ _EXPORTS = {
     "override": ("repro.planner.profile", "override"),
     "load_or_default": ("repro.planner.profile", "load_or_default"),
     "select_blur_method": ("repro.planner.profile", "select_blur_method"),
-    "select_fused_h_method": (
-        "repro.planner.profile", "select_fused_h_method",
-    ),
-    "select_engine": ("repro.planner.profile", "select_engine"),
+    "select_band_method": ("repro.planner.profile", "select_band_method"),
     "Workload": ("repro.planner.plan", "Workload"),
     "ExecutionPlan": ("repro.planner.plan", "ExecutionPlan"),
     "Planner": ("repro.planner.plan", "Planner"),

@@ -140,7 +140,7 @@ def build_profile(fft: dict, tiled: dict, quick: bool = False) -> CalibrationPro
     """Assemble a profile from sweep results.
 
     The two measured crossovers come from the sweeps; the fused-engine
-    thresholds are carried over from the currently active profile (they
+    settings are carried over from the currently active profile (they
     calibrate against the fused benchmark suite, not these sweeps) —
     the provenance string records both facts.
     """
@@ -148,7 +148,6 @@ def build_profile(fft: dict, tiled: dict, quick: bool = False) -> CalibrationPro
     return CalibrationProfile(
         fft_crossover_taps=fft["recommended"],
         tiled_min_plane_bytes=tiled["recommended"],
-        fused_fft_min_taps=base.fused_fft_min_taps,
         fused_band_bytes=base.fused_band_bytes,
         fused_pooled_geometries=base.fused_pooled_geometries,
         host=f"{platform.node() or 'unknown'} ({platform.machine()})",

@@ -30,9 +30,8 @@ from repro.planner import cost as _cost
 from repro.planner.profile import (
     CalibrationProfile,
     active_profile,
+    select_band_method,
     select_blur_method,
-    select_engine,
-    select_fused_h_method,
 )
 
 #: Workload dtypes the planner understands.  ``float32``/``float64``
@@ -133,15 +132,14 @@ class ExecutionPlan:
         process — plans are picklable) replays exactly the decisions
         recorded here, whatever the environment does in between.
     engine:
-        ``"fused"`` (single-pass band dataflow) or ``"staged"``
-        (stage-at-a-time with full-frame temporaries).
+        ``"fused"`` (single-pass band dataflow) for every float
+        workload, ``"staged"`` (stage-at-a-time with full-frame
+        temporaries) for fixed-point ones.
     blur_method:
         Staged row-convolution strategy (``folded``/``tiled``/``fft``)
-        — the path the staged engine runs, and the reference the fused
-        engine's tolerance contract is stated against.
-    fused_h_method:
-        Horizontal-pass strategy the fused engine would use
-        (``folded``/``fft``); meaningful when ``engine == "fused"``.
+        — the path the staged engine runs, the reference the fused
+        engine's tolerance contract is stated against, and what picks
+        the fused engine's :attr:`band_method`.
     band_bytes / band_rows:
         Fused band scratch budget and the resulting rows per band for
         this workload's geometry.
@@ -162,7 +160,6 @@ class ExecutionPlan:
     profile: CalibrationProfile
     engine: str
     blur_method: str
-    fused_h_method: str
     band_bytes: int
     band_rows: int
     threads: int
@@ -170,12 +167,22 @@ class ExecutionPlan:
     rationale: Tuple[str, ...] = ()
     cost_estimates: Tuple[Tuple[str, float], ...] = ()
 
+    @property
+    def band_method(self) -> Optional[str]:
+        """How the fused engine blurs each band under this plan:
+        ``"gemm"`` where the staged reference is the FFT, else
+        ``"folded"`` (see :func:`~repro.planner.profile.select_band_method`);
+        ``None`` for a staged plan."""
+        if self.engine != "fused":
+            return None
+        return "gemm" if self.blur_method == "fft" else "folded"
+
     def decision(self) -> dict:
         """The plan's load-bearing choices (what golden tests pin)."""
         return {
             "engine": self.engine,
             "blur_method": self.blur_method,
-            "fused_h_method": self.fused_h_method,
+            "band_method": self.band_method,
             "band_bytes": self.band_bytes,
             "band_rows": self.band_rows,
             "partitions": self.partitions,
@@ -192,7 +199,7 @@ class ExecutionPlan:
             f"({'calibrated' if self.profile.calibrated else 'defaults'}, "
             f"host: {self.profile.host})",
             f"plan: engine={self.engine} blur={self.blur_method} "
-            f"fused_h={self.fused_h_method} band_bytes={self.band_bytes} "
+            f"bands={self.band_method or '-'} band_bytes={self.band_bytes} "
             f"band_rows={self.band_rows} threads={self.threads} "
             f"partitions={self.partitions}",
             "rationale:",
@@ -211,7 +218,6 @@ class ExecutionPlan:
             "profile": self.profile.to_json_dict(),
             "engine": self.engine,
             "blur_method": self.blur_method,
-            "fused_h_method": self.fused_h_method,
             "band_bytes": self.band_bytes,
             "band_rows": self.band_rows,
             "threads": self.threads,
@@ -227,7 +233,6 @@ class ExecutionPlan:
             profile=CalibrationProfile.from_json_dict(data["profile"]),
             engine=data["engine"],
             blur_method=data["blur_method"],
-            fused_h_method=data["fused_h_method"],
             band_bytes=data["band_bytes"],
             band_rows=data["band_rows"],
             threads=data["threads"],
@@ -260,15 +265,23 @@ class Planner:
         )
 
     def plan(self, workload: Workload) -> ExecutionPlan:
-        from repro.runtime.fused import _partition_spans, band_rows_for
+        from repro.runtime.fused import (
+            GEMM_BLOCK_ROWS,
+            _partition_spans,
+            band_rows_for,
+        )
 
         profile = self.profile
         taps = workload.taps
         plane_bytes = workload.plane_bytes
 
-        engine = select_engine(taps, profile, fixed=workload.fixed)
+        # The fused engine is float-only (it *is* the blur); every float
+        # workload runs it.
+        engine = "staged" if workload.fixed else "fused"
         blur_method = select_blur_method(taps, plane_bytes, profile)
-        fused_h = select_fused_h_method(taps, plane_bytes, profile)
+        band_method = (
+            select_band_method(taps, profile) if engine == "fused" else None
+        )
         band_bytes = profile.fused_band_bytes
         band_rows = band_rows_for(
             workload.height,
@@ -279,14 +292,17 @@ class Planner:
         )
         threads = _resolve_threads(workload.threads)
         partitions = len(
-            _partition_spans(workload.batch, workload.height, threads)
+            _partition_spans(
+                workload.batch, workload.height, threads,
+                GEMM_BLOCK_ROWS if band_method == "gemm" else 1,
+            )
         )
 
         costs = _cost.estimate_candidates(
             workload.batch, workload.height, workload.width, taps
         )
         rationale = self._rationale(
-            workload, profile, engine, blur_method, fused_h, band_rows,
+            workload, profile, blur_method, band_method, band_rows,
             partitions,
         )
         return ExecutionPlan(
@@ -294,7 +310,6 @@ class Planner:
             profile=profile,
             engine=engine,
             blur_method=blur_method,
-            fused_h_method=fused_h,
             band_bytes=band_bytes,
             band_rows=band_rows,
             threads=threads,
@@ -309,9 +324,8 @@ class Planner:
     def _rationale(
         workload: Workload,
         profile: CalibrationProfile,
-        engine: str,
         blur_method: str,
-        fused_h: str,
+        band_method: Optional[str],
         band_rows: int,
         partitions: int,
     ) -> list:
@@ -322,19 +336,10 @@ class Planner:
                 "engine=staged: fixed-point pipeline — the fused engine "
                 "is float-only (it is the float blur)"
             )
-        elif engine == "fused":
-            lines.append(
-                f"engine=fused: taps {taps} < fused_fft_min_taps "
-                f"{profile.fused_fft_min_taps} — the band engine's folded "
-                "window beats staged execution for narrow kernels "
-                "(measured 1.4-1.9x on the reference host)"
-            )
         else:
             lines.append(
-                f"engine=staged: taps {taps} >= fused_fft_min_taps "
-                f"{profile.fused_fft_min_taps} — the staged full-plane "
-                "FFT's transform-length amortization wins for wide "
-                "kernels (fused measured ~0.5x at sigma 16)"
+                "engine=fused: float workload — the band engine beats "
+                "staged execution at every kernel width"
             )
         if blur_method == "fft":
             lines.append(
@@ -358,9 +363,9 @@ class Planner:
                 f"{profile.tiled_min_plane_bytes} — temporaries stay "
                 "cached, blocking would only add loop overhead"
             )
-        if engine == "fused":
+        if band_method is not None:
             lines.append(
-                f"fused horizontal={fused_h}, band_rows={band_rows} "
+                f"fused bands={band_method}, band_rows={band_rows} "
                 f"(band budget {profile.fused_band_bytes} B), "
                 f"{partitions} row partition(s)"
             )
@@ -397,12 +402,10 @@ def pinned(plan: ExecutionPlan, **changes) -> ExecutionPlan:
     """A copy of *plan* with explicit decision overrides applied.
 
     The escape hatch for operators who want the planner's record-keeping
-    but a specific path: ``pinned(plan, engine="staged")`` keeps the
-    workload, profile, and rationale but notes the pin.
+    but a specific path: ``pinned(plan, engine="staged")`` (the staged
+    oracle) keeps the workload, profile, and rationale but notes the pin.
     """
-    allowed = {
-        "engine", "blur_method", "fused_h_method", "band_bytes", "threads",
-    }
+    allowed = {"engine", "blur_method", "band_bytes", "threads"}
     unknown = set(changes) - allowed
     if unknown:
         raise ToneMapError(

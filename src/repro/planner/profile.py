@@ -7,8 +7,8 @@ consult it), so the hot paths can read it without import cycles:
 * :class:`CalibrationProfile` — the serialized host calibration: every
   crossover the runtime used to scatter across env-var module constants
   (``FFT_CROSSOVER_TAPS``, ``TILED_MIN_PLANE_BYTES``,
-  ``FUSED_FFT_MIN_TAPS``, ``FUSED_BAND_BYTES``) collected into one
-  frozen, JSON-round-trippable record with provenance.
+  ``FUSED_BAND_BYTES``) collected into one frozen, JSON-round-trippable
+  record with provenance.
 * :func:`active_profile` — the **call-time** resolution every dispatch
   decision goes through.  Nothing is captured at import any more: the
   resolution order is (1) a profile pinned programmatically with
@@ -19,9 +19,9 @@ consult it), so the hot paths can read it without import cycles:
   un-exporting it) moves the very next dispatch without
   ``importlib.reload``.  Env vars thereby remain explicit overrides
   that pin a decision; they are no longer the decision mechanism.
-* :func:`select_blur_method` / :func:`select_fused_h_method` /
-  :func:`select_engine` — the *single* definitions of the dispatch
-  formulas.  ``repro.tonemap.gaussian`` applies them per blur call,
+* :func:`select_blur_method` / :func:`select_band_method` — the
+  *single* definitions of the dispatch formulas.
+  ``repro.tonemap.gaussian`` applies them per blur call,
   ``repro.runtime.fused`` per fused plan, and
   :class:`repro.planner.plan.Planner` ahead of time when emitting an
   :class:`~repro.planner.plan.ExecutionPlan` — so a planned decision
@@ -41,14 +41,13 @@ from typing import List, Optional, Union
 #: changes; :func:`load_or_default` treats a mismatched (stale) version
 #: like a missing file and falls back to the built-in defaults rather
 #: than letting an old calibration silently misdirect the dispatch.
-PROFILE_VERSION = 1
+PROFILE_VERSION = 2
 
 #: Built-in defaults, measured on the PR 1/3/5 reference hosts.  These
 #: are the values the planner uses when no calibration profile has been
 #: loaded; ``repro.planner.calibrate`` re-measures them for other hosts.
 DEFAULT_FFT_CROSSOVER_TAPS = 25
 DEFAULT_TILED_MIN_PLANE_BYTES = 1 << 23
-DEFAULT_FUSED_FFT_MIN_TAPS = 33
 DEFAULT_FUSED_BAND_BYTES = 1 << 22
 DEFAULT_FUSED_POOLED_GEOMETRIES = 8
 
@@ -60,7 +59,6 @@ PROFILE_ENV = "REPRO_PLANNER_PROFILE"
 THRESHOLD_ENV_VARS = {
     "fft_crossover_taps": "REPRO_FFT_CROSSOVER_TAPS",
     "tiled_min_plane_bytes": "REPRO_TILED_MIN_PLANE_BYTES",
-    "fused_fft_min_taps": "REPRO_FUSED_FFT_MIN_TAPS",
     "fused_band_bytes": "REPRO_FUSED_BAND_BYTES",
     "fused_pooled_geometries": "REPRO_FUSED_POOLED_GEOMETRIES",
 }
@@ -93,12 +91,6 @@ class CalibrationProfile:
         Plane size (float64 bytes) at which narrow-kernel convolution
         switches from ``folded`` to the cache-blocked ``tiled``
         traversal.
-    fused_fft_min_taps:
-        Kernel width at which the fused band engine's horizontal pass
-        switches to the per-band FFT — and, because the fused engine was
-        measured slower than the staged full-plane FFT from there on,
-        the width at which the planner hands whole workloads back to the
-        staged engine.
     fused_band_bytes:
         Scratch budget for one fused band's working set.
     fused_pooled_geometries:
@@ -114,7 +106,6 @@ class CalibrationProfile:
 
     fft_crossover_taps: int = DEFAULT_FFT_CROSSOVER_TAPS
     tiled_min_plane_bytes: int = DEFAULT_TILED_MIN_PLANE_BYTES
-    fused_fft_min_taps: int = DEFAULT_FUSED_FFT_MIN_TAPS
     fused_band_bytes: int = DEFAULT_FUSED_BAND_BYTES
     fused_pooled_geometries: int = DEFAULT_FUSED_POOLED_GEOMETRIES
     host: str = "builtin defaults"
@@ -126,7 +117,6 @@ class CalibrationProfile:
         for name in (
             "fft_crossover_taps",
             "tiled_min_plane_bytes",
-            "fused_fft_min_taps",
             "fused_band_bytes",
             "fused_pooled_geometries",
         ):
@@ -318,36 +308,16 @@ def select_blur_method(
     return "folded"
 
 
-def select_fused_h_method(
-    taps: int, plane_bytes: int, profile: Optional[CalibrationProfile] = None
+def select_band_method(
+    taps: int, profile: Optional[CalibrationProfile] = None
 ) -> str:
-    """Horizontal-pass strategy of the fused band engine.
+    """How the fused band engine blurs each band.
 
-    Wherever the staged dispatch resolves folded/tiled this must return
-    ``"folded"`` (the bit-identity contract requires the exact same
-    arithmetic).  In the staged FFT regime the band engine keeps the
-    folded window up to ``fused_fft_min_taps``: a band-sized FFT
-    amortizes its setup over far fewer rows than a full-plane transform.
+    ``"folded"`` wherever the staged dispatch resolves folded/tiled (the
+    bit-identity contract requires the exact same arithmetic);
+    ``"gemm"`` — banded-Toeplitz matrix products — where it resolves to
+    the FFT, the regime in which only the 1e-9 band is promised.
     """
-    profile = profile if profile is not None else active_profile()
-    if select_blur_method(taps, plane_bytes, profile) != "fft":
-        return "folded"
-    return "fft" if taps >= profile.fused_fft_min_taps else "folded"
-
-
-def select_engine(
-    taps: int, profile: Optional[CalibrationProfile] = None, fixed: bool = False
-) -> str:
-    """Fused band engine vs staged stack execution for a whole workload.
-
-    The fused engine is float-only (it *is* the blur), so fixed-point
-    workloads stay staged.  For float, the engine wins while the
-    horizontal pass stays on the folded window (measured 1.4-1.9x on the
-    reference host); from ``fused_fft_min_taps`` upward the staged
-    full-plane FFT's transform-length amortization wins (measured ~0.5x
-    fused at sigma 16), so wide kernels go staged.
-    """
-    if fixed:
-        return "staged"
-    profile = profile if profile is not None else active_profile()
-    return "fused" if taps < profile.fused_fft_min_taps else "staged"
+    if select_blur_method(taps, 0, profile) == "fft":
+        return "gemm"
+    return "folded"

@@ -15,8 +15,9 @@ four composable stages (diagrammed in ``docs/architecture.md``):
   cache-sized row bands (vertical blur halos come from a reusable
   line-buffer ring), partitioned across a persistent thread pool, with
   zero full-frame stage temporaries
-  (:class:`~repro.runtime.fused.FusedStats` proves it).  Opt in with
-  ``fused=True`` on the mapper, pool, or service.
+  (:class:`~repro.runtime.fused.FusedStats` proves it).  Every float
+  workload runs it, at any kernel width; the staged path serves
+  fixed-point and custom-blur params.
 * :class:`~repro.runtime.arena.ShmArena` — the persistent shared-memory
   data plane: pooled, size-classed input stacks plus a ring of output
   slabs, reused across batches and handed out as reference-counted

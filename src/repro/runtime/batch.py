@@ -21,8 +21,7 @@ used by the process-pool sharding backend
 shared-memory slab of the stacked pixels.  Throughput of both paths is
 tracked by ``benchmarks/bench_runtime.py`` (see ``docs/benchmarks.md``).
 
-With ``fused=True`` the float path switches from the staged stack
-execution to the fused band engine
+The float path runs the fused band engine
 (:mod:`repro.runtime.fused`): normalize → blur → mask → adjust run in
 one pass over cache-sized row bands (optionally partitioned across
 ``threads`` workers), with no full-frame stage temporaries — the
@@ -30,7 +29,9 @@ software analogue of the paper's ``DATAFLOW`` pragma.  Outputs follow
 the fused tolerance contract (bit-identical to staged wherever the blur
 resolves to the folded/tiled row convolution, the blur module's 1e-9
 band under the FFT).  The fused engine is float-only: it *is* the blur,
-so it cannot host a custom/fixed-point ``blur_fn``.
+so a custom/fixed-point ``blur_fn`` runs the staged stack execution,
+which also remains the test oracle (a plan pinned to
+``engine="staged"``).
 """
 
 from __future__ import annotations
@@ -93,22 +94,17 @@ class BatchToneMapper:
         the fixed-point accelerator model) is applied plane-by-plane;
         the default float path uses the fully batched
         :func:`repro.tonemap.gaussian.blur_batch`.
-    fused:
-        Run the float path through the fused band engine
-        (:mod:`repro.runtime.fused`) instead of the staged stack
-        execution.  Requires ``params.blur_fn`` to be ``None``.
     threads:
-        Fused worker threads (``None`` = ``REPRO_FUSED_THREADS`` env,
-        else CPU count).  Ignored unless ``fused``.
+        Fused worker threads (``None`` = the plan's, else
+        ``REPRO_FUSED_THREADS`` env, else CPU count).  Ignored by the
+        staged path.
     plan:
         An :class:`~repro.planner.plan.ExecutionPlan` from the planner:
-        supplies the engine choice (fused vs staged), thread count, band
-        budget, and the calibration profile the fused dispatch is pinned
-        to.  Explicit ``fused``/``threads`` arguments still win over the
-        plan (a caller pin beats a planner decision); a plan whose
-        engine is ``"fused"`` is ignored when ``params.blur_fn`` is set
-        — the fused engine is float-only, and a plan computed for a
-        float workload must not crash a fixed-point mapper.
+        supplies the thread count, band budget and band method.  Float
+        params run fused unless the plan is pinned to
+        ``engine="staged"``; a ``blur_fn`` always runs staged — the
+        fused engine is float-only, and a plan computed for a float
+        workload must not crash a fixed-point mapper.
     faults:
         Chaos hook (:mod:`repro.runtime.faults`): a
         :class:`~repro.runtime.faults.FaultPlan` or a shared
@@ -124,7 +120,6 @@ class BatchToneMapper:
     def __init__(
         self,
         params: Optional[ToneMapParams] = None,
-        fused: bool = False,
         threads: Optional[int] = None,
         plan: Optional["ExecutionPlan"] = None,
         faults: Optional[object] = None,
@@ -141,27 +136,22 @@ class BatchToneMapper:
             )
         self._kernel = self.params.kernel()
         self.execution_plan = plan
-        band_bytes = None
-        profile = None
-        if plan is not None:
-            if not fused:
-                fused = (
-                    plan.engine == "fused" and self.params.blur_fn is None
-                )
-            if threads is None:
-                threads = plan.threads
-            band_bytes = plan.band_bytes
-            profile = plan.profile
         self._plan: Optional[FusedToneMapPlan] = None
         self._engine: Optional[FusedExecutor] = None
-        if fused:
-            # Raises ToneMapError for custom blur_fn params — the fused
-            # engine is the blur, so a silent staged fallback would lie
-            # about what executed.
+        if self.params.blur_fn is not None or (
+            plan is not None and plan.engine != "fused"
+        ):
+            return  # staged: a custom blur, or the pinned staged oracle
+        if plan is None:
+            self._plan = FusedToneMapPlan(self.params)
+        else:
+            threads = plan.threads if threads is None else threads
             self._plan = FusedToneMapPlan(
-                self.params, band_bytes=band_bytes, profile=profile
+                self.params,
+                band_bytes=plan.band_bytes,
+                band_method=plan.band_method,
             )
-            self._engine = FusedExecutor(threads=threads)
+        self._engine = FusedExecutor(threads=threads)
 
     @property
     def kernel(self):

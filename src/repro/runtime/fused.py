@@ -26,15 +26,36 @@ module is the software analogue of the pragma:
   auto-sized from ``os.cpu_count()`` with a ``REPRO_FUSED_THREADS``
   override.
 
-**Tolerance contract** (tested in ``tests/test_fused.py``): wherever the
-staged path's blur resolves to the folded/tiled row convolution (narrow
-kernels), fused masks and outputs are **bit-identical** to the staged
-path — the horizontal pass shares :func:`~repro.tonemap.gaussian.fold_rows_into`
-and the vertical pass replays the same multiply-add sequence over ring
-rows.  Where the staged path resolves to the FFT
-(``taps >= FFT_CROSSOVER_TAPS``), the fused vertical pass is still the
-folded arithmetic, so outputs agree to the blur module's documented
-1e-9 absolute band instead.
+**Band blur methods** (:func:`~repro.planner.profile.select_band_method`):
+wherever the staged path's blur resolves to the folded/tiled row
+convolution (narrow kernels), each band is blurred by the **folded**
+sliding window; where the staged path resolves to the FFT
+(``taps >= fft_crossover_taps``), both passes become small dense matrix
+products (**GEMM**) against banded-Toeplitz coefficient matrices cached
+on the plan — the software form of the paper's line-buffer MAC array,
+which computes the mask at any width.  The horizontal pass multiplies
+fixed-width column tiles (``bw + 2r`` padded columns each) by one shared
+``(bw + 2r) x bw`` matrix; the vertical pass multiplies a
+``GEMM_BLOCK_ROWS x (GEMM_BLOCK_ROWS + 2r)`` matrix by the ring rows,
+tiled by the same columns, so every BLAS call stays small enough to run
+single-threaded.
+
+**Tolerance contract** (tested in ``tests/test_fused.py``): in the
+folded regime fused masks and outputs are **bit-identical** to the
+staged path — the horizontal pass shares
+:func:`~repro.tonemap.gaussian.fold_rows_into` and the vertical pass
+replays the same multiply-add sequence over ring rows.  In the GEMM
+regime outputs agree with the staged FFT to the blur module's
+documented 1e-9 absolute band.  Either way a row's result never depends
+on which band, thread or process computed it, so sharded output is
+bit-identical to the in-process mapper.  BLAS kernels round differently
+by a row's position within a product, so the GEMM regime never lets
+that position vary: every product covers one fixed block of
+:data:`GEMM_BLOCK_ROWS` image rows (vertical products start on
+multiples of the block, horizontal ones on the same grid shifted by the
+radius), so row partitions, bands and the ring all come in whole
+blocks.  A given block is therefore always the identical call on
+identical operands.
 
 **Steady-state allocation contract**: per-thread scratch is allocated on
 first use (or when the frame geometry changes) and reused forever after;
@@ -54,17 +75,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.errors import ToneMapError
 from repro.image.color import LUMA_WEIGHTS
 from repro.planner.profile import (
     DEFAULT_FUSED_BAND_BYTES,
-    DEFAULT_FUSED_FFT_MIN_TAPS,
     DEFAULT_FUSED_POOLED_GEOMETRIES,
-    CalibrationProfile,
     _env_positive_int,
     active_profile,
-    select_fused_h_method,
+    select_band_method,
 )
 from repro.tonemap.adjust import adjust_brightness_contrast_into
 from repro.tonemap.gaussian import fold_rows_into
@@ -95,16 +115,17 @@ FUSED_BAND_BYTES = DEFAULT_FUSED_BAND_BYTES
 #: captured per executor (``REPRO_FUSED_POOLED_GEOMETRIES`` overrides).
 FUSED_POOLED_GEOMETRIES = DEFAULT_FUSED_POOLED_GEOMETRIES
 
-#: Default kernel width at which the fused *horizontal* pass switches
-#: from the folded sliding window to the per-band FFT.  Deliberately
-#: above the staged path's FFT crossover: a band-sized FFT amortizes
-#: its setup over far fewer rows than the staged full-plane transform,
-#: so the folded window stays ahead longer (taps 25: folded 1.62x vs
-#: FFT 1.55x over staged at 1024²; taps 49: FFT 1.02x vs folded 0.66x).
-#: Live value: ``active_profile().fused_fft_min_taps``, consulted per
-#: run through :func:`repro.planner.profile.select_fused_h_method`
-#: (``REPRO_FUSED_FFT_MIN_TAPS`` overrides at call time).
-FUSED_FFT_MIN_TAPS = DEFAULT_FUSED_FFT_MIN_TAPS
+#: Target output columns per GEMM tile.  Tiles split the row evenly
+#: (``ceil(W / ceil(W / 128))`` columns each), so at most a few padding
+#: columns are computed and discarded; 128 keeps one tile's operands in
+#: L1/L2 and each BLAS call single-threaded (measured per 31-row band
+#: at W=1024, r=28: 0.30 ms tiled GEMM vs 1.63 ms folded horizontal).
+GEMM_TILE_COLS = 128
+
+#: Rows per GEMM product, in both passes.  Products start at image
+#: rows that are multiples of this block (see the module docstring),
+#: so bands, ring fills and row partitions come in whole blocks.
+GEMM_BLOCK_ROWS = 16
 
 
 def _default_threads() -> int:
@@ -153,19 +174,9 @@ class FusedStats:
         Bytes of engine-managed scratch allocated, cumulative.  Warm-up
         allocates each workspace's band buffers once; a steady-state
         delta of zero is the machine-independent proof that the fused
-        path materializes **no** full-frame stage temporaries.  NumPy's
-        FFT has no ``out=`` parameter, so in the FFT-horizontal regime
-        (``taps >= FUSED_FFT_MIN_TAPS``) each band additionally churns
-        transform buffers the engine cannot pool — those are *band*-
-        sized by construction (bounded by the band budget, never
-        frame-sized) and reported separately as ``fft_scratch_bytes``
-        rather than hidden; the strictly gated zero-allocation claim
-        applies to the folded regime, where both counters stay flat.
-    fft_scratch_bytes:
-        Estimated bytes of per-band FFT transform buffers (spectrum +
-        inverse output) churned by the horizontal FFT pass, cumulative.
-        0 in the folded regime; grows per run — but band-bounded — in
-        the FFT regime.
+        path materializes **no** full-frame stage temporaries, at every
+        kernel width (the GEMM regime's coefficient matrices live on the
+        plan, built once like the kernel itself).
     threads_used:
         Row partitions of the most recent run (≤ configured threads).
     scratch_bytes:
@@ -179,7 +190,6 @@ class FusedStats:
     bands_executed: int = 0
     halo_rows_reused: int = 0
     intermediate_bytes: int = 0
-    fft_scratch_bytes: int = 0
     threads_used: int = 0
     scratch_bytes: int = 0
 
@@ -217,17 +227,19 @@ class _Workspace:
 
 
 def _partition_spans(
-    count: int, height: int, parts: int
+    count: int, height: int, parts: int, unit: int = 1
 ) -> List[List[Tuple[int, int, int]]]:
     """Split the ``(image, row)`` space into ``parts`` contiguous chunks.
 
     Returns one span list per chunk; a span is ``(image, row_lo, row_hi)``.
-    Chunks are balanced to within one row over the flattened
-    ``count * height`` row space, and each chunk's spans are contiguous so
+    Chunks are balanced to within one ``unit`` of rows over the flattened
+    row space, every span starts on a multiple of ``unit`` (the GEMM
+    regime's block alignment), and each chunk's spans are contiguous so
     the line-buffer ring stays valid within a span (only chunk boundaries
     pay a halo recompute).
     """
-    total = count * height
+    blocks = -(-height // unit)  # per image
+    total = count * blocks
     parts = max(1, min(parts, total))
     base, extra = divmod(total, parts)
     chunks: List[List[Tuple[int, int, int]]] = []
@@ -237,13 +249,36 @@ def _partition_spans(
         spans: List[Tuple[int, int, int]] = []
         flat = start
         while flat < end:
-            image, row = divmod(flat, height)
-            row_hi = min(height, row + (end - flat))
-            spans.append((image, row, row_hi))
-            flat += row_hi - row
+            image, block = divmod(flat, blocks)
+            block_hi = min(blocks, block + (end - flat))
+            spans.append(
+                (image, block * unit, min(block_hi * unit, height))
+            )
+            flat += block_hi - block
         chunks.append(spans)
         start = end
     return chunks
+
+
+def gemm_tiles(width: int) -> Tuple[int, int]:
+    """``(tiles, tile)``: the GEMM column tiling of a *width*-column row.
+
+    Tiles split the row evenly near :data:`GEMM_TILE_COLS` columns.  The
+    band ring spans ``tiles * tile`` columns; the few beyond ``width``
+    are computed from edge padding and dropped.
+    """
+    tiles = -(-width // GEMM_TILE_COLS)
+    return tiles, -(-width // tiles)
+
+
+def _banded(coefficients: np.ndarray, rows: int) -> np.ndarray:
+    """``rows x (rows + taps - 1)`` banded Toeplitz matrix: row ``t``
+    holds the kernel taps in columns ``t .. t + taps - 1``."""
+    taps = coefficients.size
+    matrix = np.zeros((rows, rows + taps - 1))
+    for row in range(rows):
+        matrix[row, row : row + taps] = coefficients
+    return matrix
 
 
 class FusedToneMapPlan:
@@ -263,20 +298,18 @@ class FusedToneMapPlan:
         Scratch budget per band; defaults to the active calibration
         profile's ``fused_band_bytes`` (resolved at construction, so
         ``REPRO_FUSED_BAND_BYTES`` takes effect without a reload).
-    profile:
-        Calibration profile pinning the horizontal-pass dispatch.  When
-        ``None`` (the default), :meth:`h_method` consults
-        :func:`repro.planner.profile.active_profile` per call; an
-        :class:`~repro.planner.plan.ExecutionPlan` passes its own
-        profile here so a planned decision stays pinned for the plan's
-        lifetime.
+    band_method:
+        ``"folded"`` or ``"gemm"`` pins how each band is blurred (an
+        :class:`~repro.planner.plan.ExecutionPlan` passes its own).
+        ``None`` (the default) lets :meth:`band_method` consult the
+        active calibration profile per run.
     """
 
     def __init__(
         self,
         params: Optional[ToneMapParams] = None,
         band_bytes: Optional[int] = None,
-        profile: Optional[CalibrationProfile] = None,
+        band_method: Optional[str] = None,
     ):
         params = params if params is not None else ToneMapParams()
         if params.blur_fn is not None:
@@ -284,43 +317,53 @@ class FusedToneMapPlan:
                 "the fused engine is float-only: params.blur_fn must be "
                 "None (custom and fixed-point blurs run the staged path)"
             )
+        if band_method not in (None, "folded", "gemm"):
+            raise ToneMapError(
+                f"band_method must be 'folded' or 'gemm', got {band_method!r}"
+            )
         self.params = params
         self.kernel = params.kernel()
-        self.profile = profile
+        self._band_method = band_method
         if band_bytes is None:
-            source = profile if profile is not None else active_profile()
-            band_bytes = source.fused_band_bytes
+            band_bytes = active_profile().fused_band_bytes
         self.band_bytes = band_bytes
-        # Kernel spectra for the FFT horizontal pass, keyed by transform
-        # length.  rfft of the same coefficients at the same length is
-        # deterministic, so caching (vs the staged path recomputing per
-        # call) cannot change results; the benign compute-twice race on
-        # concurrent first use is idempotent.
-        self._kernel_spectrum: Dict[int, np.ndarray] = {}
+        # The GEMM regime's coefficient matrices, built on first use and
+        # shared by every run (constants like the kernel, so they are
+        # not band scratch); a concurrent first use builds the same
+        # matrix twice, which is harmless.
+        self._h_matrices: Dict[int, np.ndarray] = {}
+        self._v_matrix: Optional[np.ndarray] = None
 
-    def kernel_spectrum(self, n_fft: int) -> np.ndarray:
-        spectrum = self._kernel_spectrum.get(n_fft)
-        if spectrum is None:
-            spectrum = np.fft.rfft(self.kernel.coefficients, n=n_fft)
-            self._kernel_spectrum[n_fft] = spectrum
-        return spectrum
+    def band_method(self) -> str:
+        """How bands are blurred: ``"folded"`` or ``"gemm"``.
 
-    def h_method(self, height: int, width: int) -> str:
-        """Row-convolution strategy for the horizontal pass.
-
-        Wherever the staged ``method="auto"`` dispatch resolves to
-        folded/tiled, this returns ``"folded"`` — the bit-identity
-        contract requires it.  In the staged FFT regime (where only the
-        1e-9 band is promised anyway) the band engine keeps the folded
-        window up to the profile's ``fused_fft_min_taps``, because a
-        band-sized FFT amortizes worse than the staged full-plane
-        transform.  Consults the plan's pinned profile when one was
-        given, else the active profile — at call time, like every
-        dispatch decision.
+        The pinned method when one was given, else
+        :func:`~repro.planner.profile.select_band_method` on the active
+        profile — at call time, like every dispatch decision.
         """
-        return select_fused_h_method(
-            self.kernel.coefficients.size, height * width * 8, self.profile
-        )
+        if self._band_method is not None:
+            return self._band_method
+        return select_band_method(self.kernel.taps)
+
+    def h_matrix(self, tile: int) -> np.ndarray:
+        """``(tile + 2r) x tile`` horizontal-pass matrix (column ``j``
+        holds the taps in rows ``j .. j + 2r``)."""
+        matrix = self._h_matrices.get(tile)
+        if matrix is None:
+            matrix = np.ascontiguousarray(
+                _banded(self.kernel.coefficients, tile).T
+            )
+            self._h_matrices[tile] = matrix
+        return matrix
+
+    def v_matrix(self) -> np.ndarray:
+        """``GEMM_BLOCK_ROWS x (GEMM_BLOCK_ROWS + 2r)`` vertical-pass
+        matrix (row ``t`` holds the taps in columns ``t .. t + 2r``)."""
+        if self._v_matrix is None:
+            self._v_matrix = _banded(
+                self.kernel.coefficients, GEMM_BLOCK_ROWS
+            )
+        return self._v_matrix
 
     def band_rows(self, height: int, width: int, color: bool) -> int:
         """Rows per band such that the band scratch stays cache-resident.
@@ -343,33 +386,52 @@ def _process_span(
     row_lo: int,
     row_hi: int,
     peak: float,
-) -> Tuple[int, int, int]:
+    method: str,
+) -> Tuple[int, int]:
     """Run the fused four-stage pass over rows ``[row_lo, row_hi)``.
 
-    Returns ``(bands_executed, halo_rows_reused, fft_scratch_bytes)``.
-    The dataflow per band ``[lo, hi)``:
+    Returns ``(bands_executed, halo_rows_reused)``.  The dataflow per
+    band ``[lo, hi)``:
 
     1. The line-buffer ring is topped up with horizontally-blurred
        normalized-luminance rows covering ``[lo - radius, hi + radius)``
        (virtual rows beyond the image clamp to the edge row, matching
-       the staged path's edge-replicate padding); ``2 * radius`` rows
-       carry over from the previous band.
-    2. The vertical folded pass accumulates the band's blurred rows from
-       ring rows using the exact multiply-add order of the staged folded
-       convolution.
+       the staged path's edge-replicate padding); the ``halo`` rows
+       above ``lo + radius`` carry over from the previous band.
+    2. The vertical pass produces the band's blurred rows from ring
+       rows: the staged folded convolution's exact multiply-add order
+       (``method="folded"``), or one banded-Toeplitz GEMM per block and
+       column tile (``method="gemm"``).
     3. The clipped mask band (written through to ``masks_out`` when the
        caller wants masks), its exponent, and the masked, adjusted
        output band are produced in-place in band scratch, and the result
        lands in ``out[index, lo:hi]`` — nothing frame-sized is ever
        allocated.
+
+    In the GEMM regime ``row_lo`` is a multiple of
+    :data:`GEMM_BLOCK_ROWS` and every product covers one whole block:
+    bands round up to whole blocks (rows past the image are clamped
+    virtual rows, computed and dropped), and the ring carries whole
+    blocks, starting ``halo - 2 * radius`` rows above ``lo - radius``.
     """
     height, width = stack32.shape[1], stack32.shape[2]
     color = stack32.ndim == 4
     coeffs = plan.kernel.coefficients
     radius = (coeffs.size - 1) // 2
     band = plan.band_rows(height, width, color)
-    cap = band + 2 * radius
-    use_fft = plan.h_method(height, width) == "fft"
+    gemm = method == "gemm"
+    block = 1  # rows per product; bands, fills and the halo are whole blocks
+    span_w = width  # ring columns
+    if gemm:
+        block = GEMM_BLOCK_ROWS
+        band = -(-band // block) * block
+        tiles, tile = gemm_tiles(width)
+        span_w = tiles * tile
+        h_matrix = plan.h_matrix(tile)
+        v_matrix = plan.v_matrix()
+    halo = -(-2 * radius // block) * block  # ring rows carried between bands
+    skew = halo - 2 * radius  # ring index of virtual row lo - radius
+    cap = band + halo
     masking = plan.params.masking
     adjust = plan.params.adjust
     # Normalization denominator, float32 exactly as the staged path's
@@ -377,16 +439,17 @@ def _process_span(
     denom = np.float32(1.0) if peak == 0.0 else np.float32(peak)
     plane32 = stack32[index]
 
-    ring = ws.get("ring", (cap, width))
-    pair = ws.get("pair", (cap, width))
-    padded = ws.get("pad", (cap, width + 2 * radius))
+    ring = ws.get("ring", (cap, span_w))
+    if not gemm:
+        pair = ws.get("pair", (cap, span_w))
+    padded = ws.get("pad", (cap, span_w + 2 * radius))
     if color:
         src32 = ws.get("src32", (cap, width, 3), np.float32)
         rgb = ws.get("rgb", (cap, width, 3))
         lum = ws.get("lum", (cap, width))
     else:
         src32 = ws.get("src32", (cap, width), np.float32)
-    vert = ws.get("vert", (band, width))
+    vert = ws.get("vert", (band, span_w))
     expo = ws.get("expo", (band, width))
     mask_scratch = (
         ws.get("mask", (band, width)) if masks_out is None else None
@@ -395,16 +458,23 @@ def _process_span(
     oband32 = ws.get("oband32", out_shape, np.float32)
     oband = ws.get("oband", out_shape)
     black = ws.get("black", out_shape, bool)
-    if use_fft:
-        # Same transform length as the staged FFT pass on these rows.
-        n_fft = (width + 2 * radius) + coeffs.size - 1
-        kernel_spectrum = plan.kernel_spectrum(n_fft)
 
-    fft_bytes = 0
+    def windows(
+        array: np.ndarray, blocks: int, rows_each: int, cols_each: int
+    ) -> np.ndarray:
+        """``(blocks, tiles, rows_each, cols_each)`` view of *array*:
+        window ``(b, k)`` starts at row ``b * block``, column
+        ``k * tile``.  Windows wider than a block or tile overlap (the
+        GEMM operands' halos); no copy either way."""
+        rs, cs = array.strides
+        return as_strided(
+            array,
+            shape=(blocks, tiles, rows_each, cols_each),
+            strides=(block * rs, tile * cs, rs, cs),
+        )
 
     def fill_ring(dest: int, virtual_lo: int, virtual_hi: int) -> None:
         """H-blur normalized luminance for virtual rows [lo, hi) → ring."""
-        nonlocal fft_bytes
         n = virtual_hi - virtual_lo
         # Normalize in float32 (the staged division dtype).  Interior
         # rows read the plane view directly; virtual rows beyond the
@@ -436,17 +506,13 @@ def _process_span(
             np.copyto(center, src32[:n])
         padded[:n, :radius] = center[:, :1]
         padded[:n, radius + width :] = center[:, -1:]
-        if use_fft:
-            # The staged `_convolve_fft` arithmetic with the kernel
-            # spectrum cached: same padded rows, same length, same ops.
-            # np.fft has no out= parameter, so these two buffers cannot
-            # come from the workspace — count them honestly (they are
-            # band-sized, never frame-sized; see FusedStats).
-            spectrum = np.fft.rfft(padded[:n], n=n_fft)
-            spectrum *= kernel_spectrum
-            full = np.fft.irfft(spectrum, n=n_fft)
-            ring[dest : dest + n] = full[..., 2 * radius : 2 * radius + width]
-            fft_bytes += spectrum.nbytes + full.nbytes
+        if gemm:
+            blocks = n // block
+            np.matmul(
+                windows(padded, blocks, block, tile + 2 * radius),
+                h_matrix,
+                out=windows(ring[dest:], blocks, block, tile),
+            )
         else:
             fold_rows_into(
                 padded[:n], coeffs, ring[dest : dest + n], pair[:n]
@@ -454,42 +520,49 @@ def _process_span(
 
     bands_executed = 0
     halo_reused = 0
-    previous_n = 0  # output rows of the previous band (0 = no band yet)
+    previous_rows = 0  # rows blurred by the previous band (0 = none yet)
     lo = row_lo
     while lo < row_hi:
         hi = min(lo + band, row_hi)
         n = hi - lo
-        if previous_n == 0:
-            fill_ring(0, lo - radius, hi + radius)
+        rows = -(-n // block) * block  # rows the vertical pass blurs
+        if previous_rows == 0:
+            fill_ring(0, lo + radius - halo, lo + rows + radius)
         else:
-            # The ring holds virtual [lo - radius, lo + radius) at
-            # positions [previous_n, previous_n + 2*radius): slide it to
-            # the front (NumPy buffers overlapping assignments) and only
-            # compute the genuinely new rows.
-            keep = 2 * radius
-            ring[:keep] = ring[previous_n : previous_n + keep]
-            halo_reused += keep
-            fill_ring(keep, lo + radius, hi + radius)
+            # The ring holds virtual [lo + radius - halo, lo + radius) at
+            # positions [previous_rows, previous_rows + halo): slide it
+            # to the front (NumPy buffers overlapping assignments) and
+            # only compute the genuinely new rows.
+            ring[:halo] = ring[previous_rows : previous_rows + halo]
+            halo_reused += halo
+            fill_ring(halo, lo + radius, lo + rows + radius)
 
-        # Vertical folded pass: the staged folded convolution's exact
-        # multiply-add order, with ring rows standing in for the padded
-        # columns (output row lo+t reads ring rows [t, t + 2*radius]).
-        # Always folded, whatever the horizontal strategy — a band-local
-        # vertical FFT was measured slower than this loop at every band
-        # size that fits the cache budget (the staged full-plane FFT wins
-        # on transform-length amortization the band engine gives up).
-        np.multiply(coeffs[radius], ring[radius : radius + n], out=vert[:n])
-        for k in range(radius):
-            mirror = 2 * radius - k
-            np.add(ring[k : k + n], ring[mirror : mirror + n], out=pair[:n])
-            pair[:n] *= coeffs[k]
-            vert[:n] += pair[:n]
+        # Output row lo+t reads ring rows [skew + t, skew + t + 2*radius].
+        if gemm:
+            blocks = rows // block
+            np.matmul(
+                v_matrix,
+                windows(ring[skew:], blocks, block + 2 * radius, tile),
+                out=windows(vert, blocks, block, tile),
+            )
+        else:
+            # The staged folded convolution's exact multiply-add order.
+            np.multiply(
+                coeffs[radius], ring[radius : radius + n], out=vert[:n]
+            )
+            for k in range(radius):
+                mirror = 2 * radius - k
+                np.add(
+                    ring[k : k + n], ring[mirror : mirror + n], out=pair[:n]
+                )
+                pair[:n] *= coeffs[k]
+                vert[:n] += pair[:n]
 
         mask_band = (
             masks_out[index, lo:hi] if masks_out is not None
             else mask_scratch[:n]
         )
-        np.clip(vert[:n], 0.0, 1.0, out=mask_band)
+        np.clip(vert[:n, :width], 0.0, 1.0, out=mask_band)
         masking_exponent_into(mask_band, expo[:n], masking)
 
         np.divide(plane32[lo:hi], denom, out=oband32[:n])
@@ -502,9 +575,9 @@ def _process_span(
         out[index, lo:hi] = oband[:n]
 
         bands_executed += 1
-        previous_n = n
+        previous_rows = rows
         lo = hi
-    return bands_executed, halo_reused, fft_bytes
+    return bands_executed, halo_reused
 
 
 class FusedExecutor:
@@ -561,7 +634,6 @@ class FusedExecutor:
         self._frames = 0
         self._bands = 0
         self._halo = 0
-        self._fft_bytes = 0
         self._retired_bytes = 0
         self._threads_last = 0
 
@@ -657,28 +729,33 @@ class FusedExecutor:
         # stack (max is exact, so the reduction order is irrelevant).
         peaks = np.amax(stack32, axis=tuple(range(1, stack32.ndim)))
 
-        chunks = _partition_spans(count, height, self.threads)
+        # One method for the whole run, even if the profile moves mid-run.
+        method = plan.band_method()
+        chunks = _partition_spans(
+            count, height, self.threads,
+            GEMM_BLOCK_ROWS if method == "gemm" else 1,
+        )
         # Everything that sizes band scratch: frame geometry, kernel
-        # radius, and the band budget.
+        # radius, band budget, and band method.
         geometry = (
             tuple(stack32.shape[1:]),
             plan.kernel.radius,
             plan.band_bytes,
+            method,
         )
         workspaces = self._acquire_workspaces(geometry, len(chunks))
 
-        def work(index: int) -> Tuple[int, int, int]:
+        def work(index: int) -> Tuple[int, int]:
             ws = workspaces[index]
-            bands = halo = fft_bytes = 0
+            bands = halo = 0
             for image, lo, hi in chunks[index]:
-                b, h, f = _process_span(
+                b, h = _process_span(
                     plan, ws, stack32, out, masks_out,
-                    image, lo, hi, float(peaks[image]),
+                    image, lo, hi, float(peaks[image]), method,
                 )
                 bands += b
                 halo += h
-                fft_bytes += f
-            return bands, halo, fft_bytes
+            return bands, halo
 
         try:
             if self._pool is None or len(chunks) == 1:
@@ -696,7 +773,6 @@ class FusedExecutor:
             self._frames += count
             self._bands += sum(r[0] for r in results)
             self._halo += sum(r[1] for r in results)
-            self._fft_bytes += sum(r[2] for r in results)
             self._threads_last = len(chunks)
         return out
 
@@ -713,7 +789,6 @@ class FusedExecutor:
                 intermediate_bytes=self._retired_bytes + sum(
                     ws.bytes_allocated for ws in workspaces
                 ),
-                fft_scratch_bytes=self._fft_bytes,
                 threads_used=self._threads_last,
                 scratch_bytes=sum(
                     ws.resident_bytes for ws in workspaces

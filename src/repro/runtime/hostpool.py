@@ -156,7 +156,6 @@ class HostServer:
         params: Optional[ToneMapParams] = None,
         shards: int = 2,
         fixed_config: Optional[FixedBlurConfig] = None,
-        fused: bool = False,
         fused_threads: Optional[int] = None,
         plan=None,
         arena_slots: int = 4,
@@ -171,7 +170,6 @@ class HostServer:
             params=params,
             shards=shards,
             fixed_config=fixed_config,
-            fused=fused,
             fused_threads=fused_threads,
             plan=plan,
             arena_slots=arena_slots,
@@ -641,7 +639,6 @@ class HostPool:
         count: int,
         params: Optional[ToneMapParams] = None,
         fixed_config: Optional[FixedBlurConfig] = None,
-        fused: bool = False,
         fused_threads: Optional[int] = None,
         plan=None,
         shards_per_host: int = 2,
@@ -674,7 +671,6 @@ class HostPool:
             "params": params,
             "shards": shards_per_host,
             "fixed_config": fixed_config,
-            "fused": fused,
             "fused_threads": fused_threads,
             "plan": plan,
             "arena_slots": arena_slots,

@@ -17,10 +17,12 @@ admitted-but-unfinished queue depth) against a declared
 ``full``
     Serve everything at full quality.
 ``degraded_plan``
-    The service swaps its in-process execution onto a planner-pinned
-    cheaper :class:`~repro.planner.plan.ExecutionPlan` (a degraded blur
-    regime via :func:`repro.planner.pinned` — bit-honest about what
-    changed: the pin is recorded in the plan's rationale).
+    The service swaps its in-process execution onto the cheaper
+    :class:`~repro.planner.plan.ExecutionPlan` its operator passed as
+    ``degraded_plan=`` (e.g. a :func:`repro.planner.pinned` copy — the
+    pin is recorded in the plan's rationale).  Without one the rung
+    changes no plan: none is derived, because no pinned variant of a
+    planned fused workload was measured cheaper than the plan itself.
 ``shed_best_effort``
     The ingestor stops admitting :class:`~repro.runtime.ingest.
     ServiceClass` ``best_effort`` frames and drops the ones already

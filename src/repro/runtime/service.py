@@ -249,12 +249,6 @@ class ToneMapService:
     arena_slots:
         Depth of the pool's shared-memory arena per size class (see
         :class:`~repro.runtime.arena.ShmArena`).
-    fused:
-        Run batches through the fused band engine
-        (:mod:`repro.runtime.fused`) — single-pass tiled stages with no
-        full-frame intermediates — instead of the staged stack path.
-        Applies to the in-process mapper and to sharded workers alike.
-        Float-only: incompatible with ``fixed_config``/``blur_fn``.
     fused_threads:
         Fused worker threads per mapper; ``None`` reads
         ``REPRO_FUSED_THREADS``, else CPU count for the in-process
@@ -266,17 +260,15 @@ class ToneMapService:
         expected traffic: supplies the engine choice, thread count, band
         budget, and calibration profile to the in-process mapper and
         (pickled) to every shard worker, so the whole service replays
-        one recorded set of dispatch decisions.  Explicit
-        ``fused``/``fused_threads`` arguments still win over the plan.
+        one recorded set of dispatch decisions.  An explicit
+        ``fused_threads`` still wins over the plan.
     degraded_plan:
         The cheaper :class:`~repro.planner.plan.ExecutionPlan` the
         service pins its in-process execution onto while the overload
         ladder sits at ``degraded_plan`` or above (see
-        :meth:`apply_overload_rung`).  ``None`` derives one from
-        ``plan`` via :func:`repro.planner.pinned` (staged engine,
-        folded blur — the predictable cheap regime), or disables the
-        rung's plan swap entirely when there is no ``plan`` to degrade
-        from.
+        :meth:`apply_overload_rung`).  ``None`` (the default) makes the
+        rung's plan swap a no-op: no plan derived from ``plan`` was
+        measured cheaper than the planned one, so none is guessed.
     shard_timeout_ms:
         Default execution budget per sharded batch; an attempt still
         running at the budget is killed by the pool's watchdog and
@@ -313,7 +305,6 @@ class ToneMapService:
         max_shards: Optional[int] = None,
         autoscale_policy: Optional[AutoscalePolicy] = None,
         arena_slots: int = 4,
-        fused: bool = False,
         fused_threads: Optional[int] = None,
         plan=None,
         degraded_plan=None,
@@ -329,16 +320,6 @@ class ToneMapService:
         if fixed_config is not None and params.blur_fn is not None:
             raise ToneMapError(
                 "pass either params.blur_fn or fixed_config, not both"
-            )
-        if plan is not None and not fused:
-            fused = (
-                plan.engine == "fused"
-                and fixed_config is None
-                and params.blur_fn is None
-            )
-        if fused and fixed_config is not None:
-            raise ToneMapError(
-                "the fused engine is float-only; drop fused or fixed_config"
             )
         if hosts is not None and (shards is not None or autoscale):
             raise ToneMapError(
@@ -386,7 +367,6 @@ class ToneMapService:
                 max_shards=max_shards,
                 policy=autoscale_policy,
                 arena_slots=arena_slots,
-                fused=fused,
                 fused_threads=fused_threads,
                 plan=plan,
                 default_timeout_ms=shard_timeout_ms,
@@ -405,7 +385,6 @@ class ToneMapService:
                     hosts,
                     params,
                     fixed_config=fixed_config,
-                    fused=fused,
                     fused_threads=fused_threads,
                     plan=plan,
                     arena_slots=arena_slots,
@@ -431,7 +410,6 @@ class ToneMapService:
         self._local_params = local_params
         self._mapper = BatchToneMapper(
             local_params,
-            fused=fused,
             threads=fused_threads,
             plan=plan,
             # Share the pool's injector: slow-batch jitter keeps applying
@@ -555,19 +533,9 @@ class ToneMapService:
                 return
             plan = self._degraded_plan
             if plan is None:
-                if self.plan is None:
-                    return  # nothing to degrade from; the rung is a no-op
-                from repro.planner import pinned
-
-                plan = pinned(
-                    self.plan, engine="staged", blur_method="folded"
-                )
-                self._degraded_plan = plan
+                return  # no cheaper plan given; the rung is a no-op
             self._degraded_mapper = BatchToneMapper(
-                self._local_params,
-                fused=(plan.engine == "fused"),
-                plan=plan,
-                faults=self._faults,
+                self._local_params, plan=plan, faults=self._faults
             )
 
     def _local_mapper(self) -> BatchToneMapper:

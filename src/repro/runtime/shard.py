@@ -121,7 +121,6 @@ _SHM_HAS_TRACK = "track" in inspect.signature(
 def _init_worker(
     params: ToneMapParams,
     fixed_config: Optional[FixedBlurConfig],
-    fused: bool = False,
     threads: Optional[int] = None,
     plan=None,
 ) -> None:
@@ -135,9 +134,7 @@ def _init_worker(
     global _WORKER_MAPPER
     if fixed_config is not None:
         params = replace(params, blur_fn=make_fixed_blur_fn(fixed_config))
-    _WORKER_MAPPER = BatchToneMapper(
-        params, fused=fused, threads=threads, plan=plan
-    )
+    _WORKER_MAPPER = BatchToneMapper(params, threads=threads, plan=plan)
     if fixed_config is not None:
         # Quantize the coefficient ROM now so the first slab pays nothing.
         fixed_config.quantized_coefficients(_WORKER_MAPPER.kernel)
@@ -504,10 +501,6 @@ class ShardPool:
         of owning one (the owner closes it).
     arena_slots:
         Ring/pool depth per size class for an owned arena.
-    fused:
-        Workers run their slabs through the fused band engine
-        (:mod:`repro.runtime.fused`) instead of the staged stack path.
-        Float-only — incompatible with ``fixed_config``.
     fused_threads:
         Fused worker threads *per worker process*; defaults to **1** —
         the pool's parallelism model is one core per shard, so letting
@@ -517,8 +510,8 @@ class ShardPool:
     plan:
         An :class:`~repro.planner.plan.ExecutionPlan`; it is pickled to
         every worker so each one replays the parent's dispatch decisions
-        (engine, band budget, calibration profile) exactly.  Explicit
-        ``fused``/``fused_threads`` arguments still win over the plan.
+        (engine, band budget, band method) exactly.  An explicit
+        ``fused_threads`` still wins over the plan.
         The per-process thread default stays **1** even under a plan —
         the plan's ``threads`` describes the in-process engine, and N
         workers × plan-threads would oversubscribe the host.
@@ -565,7 +558,6 @@ class ShardPool:
         policy: Optional[AutoscalePolicy] = None,
         arena: Optional[ShmArena] = None,
         arena_slots: int = 4,
-        fused: bool = False,
         fused_threads: Optional[int] = None,
         plan=None,
         default_timeout_ms: Optional[float] = None,
@@ -583,13 +575,7 @@ class ShardPool:
                 "blur_fn closures cannot cross the process boundary; pass "
                 "fixed_config=FixedBlurConfig(...) and let workers rebuild it"
             )
-        if plan is not None and not fused:
-            fused = plan.engine == "fused" and fixed_config is None
-        if fused and fixed_config is not None:
-            raise ToneMapError(
-                "the fused engine is float-only; drop fused or fixed_config"
-            )
-        if fused and fused_threads is None:
+        if fused_threads is None:
             # One fused thread per worker process: the pool already
             # claims one core per shard, so the in-process default
             # (cpu_count) would oversubscribe shards-fold.
@@ -607,7 +593,6 @@ class ShardPool:
         self.shards = shards
         self.params = params
         self.fixed_config = fixed_config
-        self.fused = fused
         self.fused_threads = fused_threads
         self.plan = plan
         if autoscale:
@@ -709,7 +694,6 @@ class ShardPool:
             initargs=(
                 self.params,
                 self.fixed_config,
-                self.fused,
                 self.fused_threads,
                 self.plan,
             ),
@@ -757,6 +741,15 @@ class ShardPool:
             self._generation += 1
             self._respawns += 1
         self._shutdown_broken(broken)
+
+    @staticmethod
+    def _lost_worker(executor: ProcessPoolExecutor) -> bool:
+        """Whether any worker process of *executor* has exited."""
+        try:
+            processes = list(executor._processes.values())
+        except (AttributeError, RuntimeError):  # shut down, or mutating
+            return False
+        return any(process.exitcode is not None for process in processes)
 
     def _shutdown_broken(self, executor: ProcessPoolExecutor) -> None:
         """Shut a broken executor down exactly once, across racing batches.
@@ -975,6 +968,12 @@ class ShardPool:
         while True:
             generation = self._generation
             executor = self._executor
+            if self._lost_worker(executor):
+                # A worker died between batches and the executor has not
+                # noticed yet: a batch could finish on a live sibling
+                # and leave the dead one unreplaced.  Respawn first.
+                self._respawn(generation)
+                continue
             directive = None
             force_transient = False
             if self.faults is not None:

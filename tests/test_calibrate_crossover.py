@@ -95,17 +95,16 @@ class TestEnvOverrides:
         assert gaussian._select_method("auto", taps, nbytes) == "folded"
 
     def test_env_moves_fused_h_method_at_call_time(self, monkeypatch):
-        import numpy as np
-
         from repro.runtime.fused import FusedToneMapPlan
         from repro.tonemap.pipeline import ToneMapParams
 
-        frame = np.random.default_rng(7).random((32, 32))
         plan = FusedToneMapPlan(ToneMapParams(sigma=4.0))
         taps = plan.kernel.coefficients.size
-        assert plan.h_method(*frame.shape) == "folded"
-        monkeypatch.setenv("REPRO_FUSED_FFT_MIN_TAPS", str(taps))
-        assert plan.h_method(*frame.shape) == "fft"
+        assert plan.band_method() == "gemm"  # taps 25: the staged FFT regime
+        monkeypatch.setenv("REPRO_FFT_CROSSOVER_TAPS", str(taps + 2))
+        assert plan.band_method() == "folded"
+        monkeypatch.delenv("REPRO_FFT_CROSSOVER_TAPS")
+        assert plan.band_method() == "gemm"
 
     def test_override_moves_the_auto_dispatch(self):
         # planner.override pins thresholds for the calling context; the

@@ -101,16 +101,18 @@ class TestParser:
         assert args.lease_results is True
 
     def test_batch_fused_defaults(self):
+        # Float batches always run fused: there is no opt-in flag left.
         args = build_parser().parse_args(["batch"])
-        assert args.fused is False
+        assert not hasattr(args, "fused")
         assert args.threads is None
         assert args.sigma is None
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["batch", "--fused"])
 
     def test_batch_fused_options(self):
         args = build_parser().parse_args(
-            ["batch", "--fused", "--threads", "4", "--sigma", "2.5"]
+            ["batch", "--threads", "4", "--sigma", "2.5"]
         )
-        assert args.fused is True
         assert args.threads == 4
         assert args.sigma == 2.5
 
@@ -199,22 +201,18 @@ class TestMain:
     def test_batch_fused(self, capsys):
         assert main(
             ["--size", "32", "batch", "--count", "3", "--batch-size", "2",
-             "--fused", "--threads", "2", "--sigma", "2"]
+             "--threads", "2", "--sigma", "2"]
         ) == 0
         captured = capsys.readouterr()
-        assert "fused band dataflow (2 threads)" in captured.out
-        # narrow kernel: no wide-kernel regime note
-        assert "staged full-plane FFT" not in captured.err
+        # narrow kernel: the folded band method
+        assert "fused band dataflow (2 threads, folded bands)" in captured.out
 
     def test_batch_fused_wide_kernel_notes_regime(self, capsys):
-        # Default sigma 16 is the staged FFT's home turf; --fused must
-        # say so instead of silently running the slow regime.
-        assert main(
-            ["--size", "32", "batch", "--count", "2", "--fused"]
-        ) == 0
+        # Default sigma 16 is a wide kernel: the report names the GEMM
+        # band method that runs it.
+        assert main(["--size", "32", "batch", "--count", "2"]) == 0
         captured = capsys.readouterr()
-        assert "fused band dataflow" in captured.out
-        assert "--sigma 2" in captured.err
+        assert "fused band dataflow (auto threads, gemm bands)" in captured.out
 
     def test_batch_sigma_applies_without_fused(self, capsys):
         assert main(
@@ -225,28 +223,33 @@ class TestMain:
     def test_batch_fused_sharded_streaming(self, capsys):
         assert main(
             ["--size", "32", "batch", "--count", "4", "--batch-size", "2",
-             "--fused", "--shards", "2", "--max-delay-ms", "2"]
+             "--shards", "2", "--max-delay-ms", "2"]
         ) == 0
         out = capsys.readouterr().out
-        assert "fused band dataflow (auto threads)" in out
+        assert "fused band dataflow (auto threads" in out
         assert "streaming (ingestor)" in out
 
     def test_batch_fused_rejects_fixed(self):
-        with pytest.raises(SystemExit):
+        # The fused engine is float-only: asking to size it for a
+        # fixed-point batch is refused, and the message says why.
+        with pytest.raises(SystemExit) as exc:
             main(["--size", "32", "batch", "--count", "2",
-                  "--fused", "--fixed"])
+                  "--fixed", "--threads", "2"])
+        assert "float-only" in str(exc.value.code)
 
     def test_batch_threads_require_fused(self):
+        # --threads sizes the fused engine; the fixed-point path is
+        # staged, so the pair is a usage error.
         with pytest.raises(SystemExit):
             main(["--size", "32", "batch", "--count", "2",
-                  "--threads", "2"])
+                  "--threads", "2", "--fixed"])
 
     def test_batch_nonpositive_threads_rejected_cleanly(self):
         # A usage error, not a ToneMapError traceback — and before any
         # image generation.
         with pytest.raises(SystemExit):
             main(["--size", "32", "batch", "--count", "2",
-                  "--fused", "--threads", "0"])
+                  "--threads", "0"])
 
     def test_batch_multi_tenant_lease_results(self, capsys):
         assert main(

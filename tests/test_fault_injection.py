@@ -171,7 +171,15 @@ class TestWorkerKillRecovery:
             lease = pool.lease_input(stack.shape)
             lease.array[:] = stack
             pool.run_leased(lease).release()
-            os.kill(pool.worker_pids()[0], signal.SIGKILL)
+            victim = pool.worker_pids()[0]
+            os.kill(victim, signal.SIGKILL)
+            # SIGKILL lands asynchronously: wait (without reaping) until
+            # the worker is dead, so the next batch meets a dead worker
+            # rather than racing a dying one.
+            try:
+                os.waitid(os.P_PID, victim, os.WEXITED | os.WNOWAIT)
+            except ChildProcessError:
+                pass  # already reaped: dead either way
             pool.run_leased(lease).release()  # respawn + replay
             assert pool.worker_respawns >= 1
             # The autoscaler state machine survived: observations still

@@ -7,13 +7,15 @@ The tolerance contract under test (documented in
   (``taps < FFT_CROSSOVER_TAPS``), fused masks and outputs are
   **bit-identical** to the staged path, for every shape, thread count,
   and band size;
-* where it resolves to the FFT, outputs agree within the blur module's
-  1e-9 absolute band.
+* where it resolves to the FFT (the GEMM band method), outputs agree
+  within the blur module's 1e-9 absolute band — and stay bit-identical
+  to the in-process fused mapper whatever the thread count, band size or
+  shard split.
 
 Plus the steady-state allocation contract (``intermediate_bytes`` stops
-growing once per-thread scratch is warm), the row partitioner's
-exactly-once coverage, and the shared-mutable-default fix on the mapper
-constructors.
+growing once per-thread scratch is warm, at every kernel width), the row
+partitioner's exactly-once coverage, and the shared-mutable-default fix
+on the mapper constructors.
 """
 
 import numpy as np
@@ -22,7 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ToneMapError
+from repro.image.hdr import HDRImage
 from repro.image.synthetic import SceneParams, make_scene
+from repro.planner import pinned, plan_for
 from repro.runtime import (
     BatchToneMapper,
     FusedExecutor,
@@ -30,7 +34,11 @@ from repro.runtime import (
     ShardPool,
     ToneMapService,
 )
-from repro.runtime.fused import _partition_spans
+from repro.runtime.fused import (
+    GEMM_BLOCK_ROWS,
+    GEMM_TILE_COLS,
+    _partition_spans,
+)
 from repro.tonemap.gaussian import FFT_CROSSOVER_TAPS
 from repro.tonemap.masking import MaskingParams
 from repro.tonemap.pipeline import ToneMapParams, ToneMapper
@@ -66,6 +74,12 @@ def _staged(params, stack):
     masks = np.empty(stack.shape[:3], dtype=np.float64)
     out = mapper._run_stack(stack, masks)
     return out, masks
+
+
+def _staged_mapper(params):
+    """The staged oracle: a mapper on a plan pinned to the staged engine."""
+    plan = plan_for(32, 32, sigma=params.sigma, radius=params.radius)
+    return BatchToneMapper(params, plan=pinned(plan, engine="staged"))
 
 
 def _fused(params, stack, threads, band_bytes=None):
@@ -153,6 +167,69 @@ class TestToleranceContract:
         np.testing.assert_array_equal(got, want)
 
 
+#: Widths around the GEMM column tiling: narrower than one tile, a
+#: tile exactly, one past it, primes, and a multi-tile ragged row.
+EDGE_WIDTHS = [1, 2, 3, 7, 31, GEMM_TILE_COLS - 1, GEMM_TILE_COLS,
+               GEMM_TILE_COLS + 1, 131, 257, 300]
+
+
+@pytest.fixture(scope="module")
+def gemm_services():
+    """One 2-shard service per GEMM-regime kernel (25 and 57 taps)."""
+    services = {}
+    try:
+        for radius in (12, 28):
+            params = ToneMapParams(sigma=radius / 3.0, radius=radius)
+            services[radius] = ToneMapService(
+                params, batch_size=2, shards=2, arena_slots=2
+            )
+        yield services
+    finally:
+        for service in services.values():
+            service.close()
+
+
+class TestGemmBandProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        count=st.integers(min_value=1, max_value=2),
+        height=st.one_of(
+            st.sampled_from([1, 2, 3]), st.integers(min_value=1, max_value=70)
+        ),
+        width=st.one_of(
+            st.sampled_from(EDGE_WIDTHS), st.integers(min_value=1, max_value=300)
+        ),
+        radius=st.sampled_from([12, 28]),
+        color=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_gemm_bands_hold_every_contract(
+        self, gemm_services, count, height, width, radius, color, seed
+    ):
+        params = ToneMapParams(sigma=radius / 3.0, radius=radius)
+        assert params.kernel().taps >= FFT_CROSSOVER_TAPS  # GEMM regime
+        shape = (count, height, width) + ((3,) if color else ())
+        stack = _stack(shape, seed=seed % 1000)
+        want, want_masks = _staged(params, stack)
+        # A small band budget forces multi-band spans and one-row bands.
+        one, one_masks, _ = _fused(params, stack, 1, band_bytes=1 << 12)
+        np.testing.assert_allclose(one_masks, want_masks, atol=1e-9)
+        np.testing.assert_allclose(one, want, atol=1e-9)
+        two, two_masks, _ = _fused(params, stack, 2)
+        np.testing.assert_array_equal(two_masks, one_masks)
+        np.testing.assert_array_equal(two, one)
+        # Through two shard workers (one fused thread each), against the
+        # in-process mapper (its own thread count and band split).
+        images = [HDRImage(frame) for frame in stack]
+        local = BatchToneMapper(params, threads=2).map(images)
+        sharded = gemm_services[radius].run_batch(images)
+        for got, ref in zip(sharded, local):
+            np.testing.assert_array_equal(got.pixels, ref.pixels)
+        np.testing.assert_allclose(
+            np.stack([image.pixels for image in local]), want, atol=1e-6
+        )
+
+
 class TestSteadyStateAllocation:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_intermediate_bytes_stop_growing(self, threads):
@@ -217,25 +294,30 @@ class TestSteadyStateAllocation:
                     list(pool.map(run_one, stacks))
             assert len(executor._free) <= FUSED_POOLED_GEOMETRIES
 
-    def test_fft_scratch_counted_separately(self):
-        # Folded regime: zero FFT scratch.  FFT-horizontal regime: the
-        # un-poolable transform buffers are counted, not hidden — and
-        # the workspace counter still settles.
-        narrow = FusedToneMapPlan(ToneMapParams(sigma=2.0, radius=6))
-        wide = FusedToneMapPlan(ToneMapParams(sigma=16.0))
-        stack = _stack((1, 48, 48))
-        with FusedExecutor(threads=1) as executor:
-            executor.run(narrow, stack, np.empty_like(stack))
-            assert executor.stats.fft_scratch_bytes == 0
-        with FusedExecutor(threads=1) as executor:
-            executor.run(wide, stack, np.empty_like(stack))
-            first = executor.stats
-            assert first.fft_scratch_bytes > 0
-            executor.run(wide, stack, np.empty_like(stack))
-            second = executor.stats
-            # workspace scratch settles; FFT buffers churn per run
-            assert second.intermediate_bytes == first.intermediate_bytes
-            assert second.fft_scratch_bytes == 2 * first.fft_scratch_bytes
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "radius", [12, 28, 96, 130], ids=lambda r: f"taps{2 * r + 1}"
+    )
+    def test_wide_kernel_steady_state_allocates_nothing(
+        self, radius, threads
+    ):
+        # The GEMM band method reuses its scratch like the folded one:
+        # the zero-temporaries claim covers every kernel width.
+        params = ToneMapParams(sigma=radius / 3.0, radius=radius)
+        plan = FusedToneMapPlan(params, band_bytes=1 << 16)
+        assert plan.band_method() == "gemm"
+        stack = _stack((2, 70, 131, 3), seed=radius)
+        out = np.empty(stack.shape, dtype=np.float32)
+        with FusedExecutor(threads=threads) as executor:
+            executor.run(plan, stack, out)
+            warm = executor.stats
+            for _ in range(2):
+                executor.run(plan, stack, out)
+            steady = executor.stats
+        assert warm.intermediate_bytes > 0
+        assert steady.intermediate_bytes == warm.intermediate_bytes
+        assert steady.scratch_bytes == warm.scratch_bytes
+        assert steady.bands_executed == 3 * warm.bands_executed
 
     def test_shape_change_reallocates_then_settles(self):
         params = ToneMapParams(sigma=2.0, radius=6)
@@ -273,7 +355,7 @@ class TestSteadyStateAllocation:
         import threading
 
         service = ToneMapService(
-            ToneMapParams(sigma=2.0, radius=6), fused=True, fused_threads=2
+            ToneMapParams(sigma=2.0, radius=6), fused_threads=2
         )
         images = [
             make_scene(
@@ -292,9 +374,7 @@ class TestSteadyStateAllocation:
         )
 
     def test_mapper_counters_exposed(self):
-        mapper = BatchToneMapper(
-            ToneMapParams(sigma=2.0, radius=6), fused=True, threads=2
-        )
+        mapper = BatchToneMapper(ToneMapParams(sigma=2.0, radius=6), threads=2)
         assert mapper.fused
         stack = _stack((2, 32, 32))
         mapper.run_stack(stack)
@@ -302,7 +382,7 @@ class TestSteadyStateAllocation:
         assert stats.runs == 1
         assert stats.frames == 2
         assert stats.bands_executed >= 2
-        assert BatchToneMapper(ToneMapParams()).fused_stats is None
+        assert _staged_mapper(ToneMapParams()).fused_stats is None
 
 
 class TestPartition:
@@ -326,15 +406,33 @@ class TestPartition:
         assert max(sizes) - min(sizes) <= 1
 
 
+    @pytest.mark.parametrize(
+        "count,height,parts",
+        [(1, 40, 2), (2, 33, 3), (3, 16, 4), (1, 5, 3), (2, 70, 100)],
+    )
+    def test_gemm_spans_start_on_block_boundaries(self, count, height, parts):
+        # GEMM bands are block-aligned products: every span must start
+        # on a GEMM_BLOCK_ROWS boundary, and still cover each row once.
+        chunks = _partition_spans(count, height, parts, GEMM_BLOCK_ROWS)
+        seen = np.zeros((count, height), dtype=int)
+        for spans in chunks:
+            for image, lo, hi in spans:
+                assert lo % GEMM_BLOCK_ROWS == 0
+                assert hi % GEMM_BLOCK_ROWS == 0 or hi == height
+                seen[image, lo:hi] += 1
+        assert (seen == 1).all()
+
+
 class TestValidationAndDefaults:
     def test_fused_rejects_custom_blur_fn(self):
         params = ToneMapParams(
             sigma=2.0, radius=6, blur_fn=lambda plane, kernel: plane
         )
-        with pytest.raises(ToneMapError):
-            BatchToneMapper(params, fused=True)
+        assert not BatchToneMapper(params).fused  # runs staged
         with pytest.raises(ToneMapError):
             FusedToneMapPlan(params)
+        with pytest.raises(ToneMapError):
+            FusedToneMapPlan(ToneMapParams(), band_method="fft")
 
     def test_executor_rejects_bad_inputs(self):
         plan = FusedToneMapPlan(ToneMapParams(sigma=2.0, radius=6))
@@ -391,8 +489,8 @@ class TestRuntimeWiring:
 
     def test_mapper_run_matches_staged(self):
         images = self._scenes(3)
-        want = BatchToneMapper(self.PARAMS).run(images)
-        got = BatchToneMapper(self.PARAMS, fused=True, threads=2).run(images)
+        want = _staged_mapper(self.PARAMS).run(images)
+        got = BatchToneMapper(self.PARAMS, threads=2).run(images)
         np.testing.assert_array_equal(got.masks, want.masks)
         for g, w in zip(got.outputs, want.outputs):
             np.testing.assert_array_equal(g.pixels, w.pixels)
@@ -401,10 +499,8 @@ class TestRuntimeWiring:
 
     def test_shard_workers_fused_bit_identical(self):
         images = self._scenes(4, size=24)
-        want = BatchToneMapper(self.PARAMS).map(images)
-        with ShardPool(
-            self.PARAMS, shards=2, fused=True, fused_threads=1
-        ) as pool:
+        want = _staged_mapper(self.PARAMS).map(images)
+        with ShardPool(self.PARAMS, shards=2, fused_threads=1) as pool:
             got = pool.run_batch(images)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.pixels, w.pixels)
@@ -413,9 +509,9 @@ class TestRuntimeWiring:
         # Each worker process defaulting to cpu_count() fused threads
         # would oversubscribe the host shards-fold; the sharded default
         # is 1 thread per worker.
-        with ShardPool(self.PARAMS, shards=2, fused=True) as pool:
+        with ShardPool(self.PARAMS, shards=2) as pool:
             assert pool.fused_threads == 1
-        mapper = BatchToneMapper(self.PARAMS, fused=True)
+        mapper = BatchToneMapper(self.PARAMS)
         try:
             import os
 
@@ -423,22 +519,43 @@ class TestRuntimeWiring:
         finally:
             mapper.close()
 
-    def test_shard_rejects_fused_fixed_point(self):
-        from repro.tonemap.fixed_blur import FixedBlurConfig
+    def test_fixed_point_runs_staged_under_a_fused_plan(self):
+        # The fused engine is float-only: a fixed-point service handed a
+        # float workload's (fused) plan runs the staged fixed-point blur
+        # in-process and in its shard workers.
+        from dataclasses import replace
 
-        with pytest.raises(ToneMapError):
-            ShardPool(self.PARAMS, fused=True,
-                      fixed_config=FixedBlurConfig())
-        with pytest.raises(ToneMapError):
-            ToneMapService(self.PARAMS, fused=True,
-                           fixed_config=FixedBlurConfig())
+        from repro.tonemap.fixed_blur import (
+            FixedBlurConfig,
+            make_fixed_blur_fn,
+        )
+
+        config = FixedBlurConfig()
+        plan = plan_for(24, 24, batch=2, sigma=2.0, radius=6)
+        assert plan.engine == "fused"
+        images = self._scenes(2, size=24)
+        fixed = replace(self.PARAMS, blur_fn=make_fixed_blur_fn(config))
+        want = BatchToneMapper(fixed, plan=plan).map(images)
+        with ToneMapService(
+            self.PARAMS, batch_size=2, shards=2, fixed_config=config,
+            plan=plan,
+        ) as service:
+            assert not service._mapper.fused
+            got = service.run_batch(images)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.pixels, w.pixels)
 
     def test_service_fused_matches_staged(self):
         images = self._scenes(5, size=24)
-        with ToneMapService(self.PARAMS, batch_size=2) as service:
+        staged = pinned(
+            plan_for(24, 24, batch=2, sigma=2.0, radius=6), engine="staged"
+        )
+        with ToneMapService(
+            self.PARAMS, batch_size=2, plan=staged
+        ) as service:
             want = service.map_many(images)
         with ToneMapService(
-            self.PARAMS, batch_size=2, fused=True, fused_threads=2
+            self.PARAMS, batch_size=2, fused_threads=2
         ) as service:
             got = service.map_many(images)
         for g, w in zip(got, want):
@@ -448,10 +565,9 @@ class TestRuntimeWiring:
         from repro.runtime import ToneMapIngestor
 
         images = self._scenes(6, size=24)
-        want = BatchToneMapper(self.PARAMS).map(images)
+        want = _staged_mapper(self.PARAMS).map(images)
         with ToneMapService(
-            self.PARAMS, batch_size=3, shards=2, fused=True,
-            fused_threads=1,
+            self.PARAMS, batch_size=3, shards=2, fused_threads=1,
         ) as service:
             with ToneMapIngestor(service, max_delay_ms=5.0) as ingestor:
                 futures = [ingestor.submit(image) for image in images]

@@ -499,7 +499,9 @@ class TestServiceRungHooks:
         plan = plan_for(height=32, width=32, batch=2, sigma=PARAMS.sigma)
         cheap = pinned(plan, engine="staged", blur_method="folded")
         want = BatchToneMapper(PARAMS, plan=cheap).map(images)
-        with ToneMapService(PARAMS, batch_size=2, plan=plan) as service:
+        with ToneMapService(
+            PARAMS, batch_size=2, plan=plan, degraded_plan=cheap
+        ) as service:
             service.apply_overload_rung(LADDER_DEGRADED)
             got = service.run_batch(images)
             # Degraded output is the pinned plan's output, bit for bit.
@@ -509,6 +511,19 @@ class TestServiceRungHooks:
             restored = service.run_batch(images)
         full = BatchToneMapper(PARAMS, plan=plan).map(images)
         for g, w in zip(restored, full):
+            np.testing.assert_array_equal(g.pixels, w.pixels)
+
+    def test_planned_service_without_degraded_plan_is_a_noop(self):
+        # No cheaper plan is derived from the planned one: the rung
+        # keeps serving the full plan's output, bit for bit.
+        images = scenes(2, size=32)
+        plan = plan_for(height=32, width=32, batch=2, sigma=PARAMS.sigma)
+        want = BatchToneMapper(PARAMS, plan=plan).map(images)
+        with ToneMapService(PARAMS, batch_size=2, plan=plan) as service:
+            service.apply_overload_rung(LADDER_DEGRADED)
+            got = service.run_batch(images)
+            assert service._degraded_mapper is None
+        for g, w in zip(got, want):
             np.testing.assert_array_equal(g.pixels, w.pixels)
 
     def test_unplanned_service_degrades_to_a_noop(self):

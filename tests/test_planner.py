@@ -36,9 +36,8 @@ from repro.planner import (
     load_or_default,
     pinned,
     plan_for,
+    select_band_method,
     select_blur_method,
-    select_engine,
-    select_fused_h_method,
     set_active_profile,
 )
 from repro.planner.profile import PROFILE_VERSION
@@ -109,20 +108,21 @@ class TestDispatchFormulas:
         assert select_blur_method(24, 999, prof) == "folded"
 
     def test_fused_h_follows_staged_below_crossover(self):
-        prof = CalibrationProfile(
-            fft_crossover_taps=25, fused_fft_min_taps=33
-        )
-        # Staged non-fft => folded (the bit-identity contract).
-        assert select_fused_h_method(23, 0, prof) == "folded"
-        # Staged fft but below the band-FFT crossover => still folded.
-        assert select_fused_h_method(25, 0, prof) == "folded"
-        assert select_fused_h_method(33, 0, prof) == "fft"
+        prof = CalibrationProfile(fft_crossover_taps=25)
+        # Staged non-fft => folded bands (the bit-identity contract).
+        assert select_band_method(23, prof) == "folded"
+        # Staged fft => GEMM bands (the 1e-9 band), at every width.
+        assert select_band_method(25, prof) == "gemm"
+        assert select_band_method(193, prof) == "gemm"
 
     def test_engine_selection(self):
-        prof = CalibrationProfile(fused_fft_min_taps=33)
-        assert select_engine(32, prof) == "fused"
-        assert select_engine(33, prof) == "staged"
-        assert select_engine(5, prof, fixed=True) == "staged"
+        # Float workloads run fused at every kernel width; fixed-point
+        # ones stay staged (the fused engine is the float blur).
+        for radius in (2, 12, 28, 96):
+            plan = plan_for(height=32, width=32, radius=radius, threads=1)
+            assert plan.engine == "fused"
+        fixed = plan_for(height=32, width=32, radius=2, dtype="fixed")
+        assert fixed.engine == "staged"
 
 
 class TestExecutionPlan:
@@ -134,13 +134,15 @@ class TestExecutionPlan:
         plan = self._plan(sigma=2.0, radius=5)
         assert plan.engine == "fused"
         assert plan.blur_method == "folded"
-        assert plan.fused_h_method == "folded"
+        assert plan.band_method == "folded"
         assert plan.partitions <= plan.threads == 2
 
-    def test_wide_kernel_plans_staged_fft(self):
+    def test_wide_kernel_plans_fused_gemm(self):
         plan = self._plan(sigma=16.0)  # taps 97
-        assert plan.engine == "staged"
-        assert plan.blur_method == "fft"
+        assert plan.engine == "fused"
+        assert plan.blur_method == "fft"  # the staged reference
+        assert plan.band_method == "gemm"
+        assert plan.decision()["band_method"] == "gemm"
 
     def test_fixed_dtype_is_staged_only(self):
         plan = self._plan(sigma=2.0, radius=5, dtype="fixed")
@@ -151,8 +153,8 @@ class TestExecutionPlan:
         plan = self._plan(sigma=2.0, radius=5)
         text = plan.describe()
         for needle in (
-            "engine=fused", "blur=folded", "rationale:", "cost model",
-            "fused_fft_min_taps", "model-ms",
+            "engine=fused", "blur=folded", "bands=folded", "rationale:",
+            "cost model", "fused bands=folded", "model-ms",
         ):
             assert needle in text
 
@@ -191,16 +193,16 @@ class TestCallTimeResolution:
     """The regression tests for the import-time env-read removal."""
 
     def test_env_export_after_import_moves_the_next_plan(self, monkeypatch):
-        assert plan_for(height=8, width=8, radius=12, threads=1).engine == (
-            "fused"
+        assert plan_for(height=8, width=8, radius=12, threads=1).band_method == (
+            "gemm"
         )
-        monkeypatch.setenv("REPRO_FUSED_FFT_MIN_TAPS", "25")
+        monkeypatch.setenv("REPRO_FFT_CROSSOVER_TAPS", "27")
         plan = plan_for(height=8, width=8, radius=12, threads=1)  # taps 25
-        assert plan.engine == "staged"
+        assert plan.band_method == "folded"
         assert plan.profile.source == "env-override"
-        monkeypatch.delenv("REPRO_FUSED_FFT_MIN_TAPS")
-        assert plan_for(height=8, width=8, radius=12, threads=1).engine == (
-            "fused"
+        monkeypatch.delenv("REPRO_FFT_CROSSOVER_TAPS")
+        assert plan_for(height=8, width=8, radius=12, threads=1).band_method == (
+            "gemm"
         )
 
     def test_gaussian_dispatch_sees_env_without_reload(self, monkeypatch):
@@ -238,13 +240,13 @@ class TestCallTimeResolution:
 
     def test_planner_profile_none_resolves_per_plan(self):
         p = Planner()
-        with planner.override(fused_fft_min_taps=25):
+        with planner.override(fft_crossover_taps=27):
             assert p.plan(
                 Workload(height=8, width=8, radius=12, threads=1)
-            ).engine == "staged"
+            ).band_method == "folded"
         assert p.plan(
             Workload(height=8, width=8, radius=12, threads=1)
-        ).engine == "fused"
+        ).band_method == "gemm"
 
 
 class TestProfileRoundTrip:
@@ -252,7 +254,6 @@ class TestProfileRoundTrip:
         profile = CalibrationProfile(
             fft_crossover_taps=19,
             tiled_min_plane_bytes=4096,
-            fused_fft_min_taps=27,
             host="test host",
             source="calibration",
             calibrated=True,
@@ -268,7 +269,7 @@ class TestProfileRoundTrip:
 
     def test_profile_file_identical_plans_across_processes(self, tmp_path):
         profile = CalibrationProfile(
-            fft_crossover_taps=19, fused_fft_min_taps=21, calibrated=True
+            fft_crossover_taps=19, calibrated=True
         )
         path = profile.save(tmp_path / "profile.json")
         workload = dict(height=40, width=40, radius=10, threads=2)
@@ -307,6 +308,18 @@ class TestProfileRoundTrip:
         payload = CalibrationProfile().to_json_dict()
         payload["version"] = PROFILE_VERSION + 1
         path.write_text(json.dumps(payload))
+        assert load_or_default(path) == CalibrationProfile()
+        with pytest.raises(ValueError, match="stale profile"):
+            CalibrationProfile.load(path)
+
+    def test_v1_profile_falls_back_to_defaults(self, tmp_path):
+        # Schema v1 still carried fused_fft_min_taps; such a file is
+        # stale now, so a serving process falls back to the defaults.
+        path = tmp_path / "v1.json"
+        payload = CalibrationProfile(fft_crossover_taps=11).to_json_dict()
+        payload.update(version=1, fused_fft_min_taps=33)
+        path.write_text(json.dumps(payload))
+        assert PROFILE_VERSION == 2
         assert load_or_default(path) == CalibrationProfile()
         with pytest.raises(ValueError, match="stale profile"):
             CalibrationProfile.load(path)

@@ -10,11 +10,11 @@ stack execution under the fused tolerance contract:
   the strongest possible check that planning changed *scheduling* and
   not *arithmetic*);
 * within the blur module's **1e-9 absolute band** where the staged path
-  resolves to the FFT but the plan keeps the fused engine on its folded
-  window (taps in ``[fft_crossover_taps, fused_fft_min_taps)``);
-* **bit-identical again** from ``fused_fft_min_taps`` upward, where the
-  plan hands the workload back to the staged engine — planned and
-  reference execution are then the very same code path.
+  resolves to the FFT and the fused engine runs its GEMM band method
+  (``taps >= fft_crossover_taps``, every width);
+* **bit-identical again** under a plan pinned to the staged engine (the
+  oracle) — planned and reference execution are then the very same code
+  path.
 
 Four regimes x generated cases >= 200 examples total (the ISSUE floor).
 """
@@ -24,14 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import planner
-from repro.planner import plan_for
+from repro.planner import pinned, plan_for
 from repro.runtime import BatchToneMapper
 from repro.tonemap.pipeline import ToneMapParams
 
 #: Reference-profile crossovers (asserted against the active profile in
 #: each test so a drifted default invalidates the regime split loudly).
 FFT_CROSSOVER_TAPS = 25
-FUSED_FFT_MIN_TAPS = 33
 
 dims = st.integers(min_value=8, max_value=40)
 batches = st.integers(min_value=1, max_value=3)
@@ -47,8 +46,14 @@ def _stack(batch, height, width, color, seed):
     return stack
 
 
-def _planned_vs_staged(height, width, batch, radius, threads, color, seed):
-    """Run one workload both ways; return (planned, reference, plan)."""
+def _planned_vs_staged(
+    height, width, batch, radius, threads, color, seed, pin=None
+):
+    """Run one workload both ways; return (planned, reference, plan).
+
+    The reference is the staged stack execution; ``pin`` (a
+    :func:`~repro.planner.pinned` override dict) adjusts the plan.
+    """
     params = ToneMapParams(sigma=max(radius / 3.0, 0.5), radius=radius)
     plan = plan_for(
         height=height,
@@ -59,8 +64,12 @@ def _planned_vs_staged(height, width, batch, radius, threads, color, seed):
         color=color,
         threads=threads,
     )
+    if pin:
+        plan = pinned(plan, **pin)
     stack = _stack(batch, height, width, color, seed)
-    reference = BatchToneMapper(params).run_stack(stack)
+    oracle = BatchToneMapper(params, plan=pinned(plan, engine="staged"))
+    assert not oracle.fused
+    reference = oracle.run_stack(stack)
     mapper = BatchToneMapper(params, plan=plan)
     try:
         planned = mapper.run_stack(stack)
@@ -91,7 +100,7 @@ class TestFoldedRegime:
         assert plan.profile.fft_crossover_taps == FFT_CROSSOVER_TAPS
         assert plan.engine == "fused"
         assert plan.blur_method == "folded"
-        assert plan.fused_h_method == "folded"
+        assert plan.band_method == "folded"
         np.testing.assert_array_equal(planned, reference)
 
 
@@ -117,20 +126,20 @@ class TestTiledRegime:
             )
         assert plan.blur_method == "tiled"
         assert plan.engine == "fused"
-        assert plan.fused_h_method == "folded"
+        assert plan.band_method == "folded"
         np.testing.assert_array_equal(planned, reference)
 
 
 class TestFftBandRegime:
-    """taps in [25, 31]: staged reference takes the full-plane FFT, the
-    plan keeps the fused folded window — 1e-9 absolute band."""
+    """taps >= 25: staged reference takes the full-plane FFT, the plan
+    runs the fused GEMM band method — 1e-9 absolute band."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         height=dims,
         width=dims,
         batch=batches,
-        radius=st.integers(min_value=12, max_value=15),
+        radius=st.integers(min_value=12, max_value=48),
         threads=threads_st,
         seed=seeds,
     )
@@ -140,16 +149,16 @@ class TestFftBandRegime:
         planned, reference, plan = _planned_vs_staged(
             height, width, batch, radius, threads, False, seed
         )
-        assert plan.profile.fused_fft_min_taps == FUSED_FFT_MIN_TAPS
+        assert plan.profile.fft_crossover_taps == FFT_CROSSOVER_TAPS
         assert plan.engine == "fused"
         assert plan.blur_method == "fft"
-        assert plan.fused_h_method == "folded"
+        assert plan.band_method == "gemm"
         np.testing.assert_allclose(planned, reference, rtol=0.0, atol=1e-9)
 
 
 class TestStagedRegime:
-    """taps >= 33: the plan itself says staged — planned and reference
-    execution are the same code path, so equality is exact."""
+    """A plan pinned to the staged engine (the oracle) replays the
+    reference code path at any width, so equality is exact."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -162,7 +171,8 @@ class TestStagedRegime:
     )
     def test_bit_identical(self, height, width, batch, radius, threads, seed):
         planned, reference, plan = _planned_vs_staged(
-            height, width, batch, radius, threads, False, seed
+            height, width, batch, radius, threads, False, seed,
+            pin={"engine": "staged"},
         )
         assert plan.engine == "staged"
         assert plan.blur_method == "fft"

@@ -26,10 +26,12 @@ REFERENCE_PROFILE = (
 #: Thread counts are explicit so partitions cannot drift with host CPUs.
 GOLDEN = [
     (
-        # The paper's 1080p sigma-16 workload: wide kernel, staged FFT.
+        # The paper's 1080p sigma-16 workload: wide kernel, fused GEMM
+        # bands against the staged FFT reference.  (The A9 cost model
+        # has no GEMM candidate: it still ranks the staged FFT cheapest.)
         dict(height=1080, width=1920, batch=4, sigma=16.0, threads=4),
         dict(
-            engine="staged", blur_method="fft", fused_h_method="fft",
+            engine="fused", blur_method="fft", band_method="gemm",
             band_bytes=4194304, band_rows=48, partitions=4,
         ),
         "staged-fft",
@@ -38,7 +40,7 @@ GOLDEN = [
         # Narrow kernel, cache-resident plane: fused folded end to end.
         dict(height=512, width=512, batch=1, sigma=2.0, radius=6, threads=2),
         dict(
-            engine="fused", blur_method="folded", fused_h_method="folded",
+            engine="fused", blur_method="folded", band_method="folded",
             band_bytes=4194304, band_rows=102, partitions=2,
         ),
         "fused-folded",
@@ -47,17 +49,16 @@ GOLDEN = [
         # Exactly at tiled_min_plane_bytes (8 MiB plane): tiled blur.
         dict(height=1024, width=1024, batch=2, sigma=2.5, radius=8, threads=2),
         dict(
-            engine="fused", blur_method="tiled", fused_h_method="folded",
+            engine="fused", blur_method="tiled", band_method="folded",
             band_bytes=4194304, band_rows=51, partitions=2,
         ),
         "fused-folded",
     ),
     (
-        # At the staged FFT crossover (25 taps) but below the fused
-        # band-FFT crossover: fused engine keeps its folded window.
+        # At the staged FFT crossover (25 taps): fused GEMM bands.
         dict(height=64, width=64, batch=1, sigma=4.0, threads=1),
         dict(
-            engine="fused", blur_method="fft", fused_h_method="folded",
+            engine="fused", blur_method="fft", band_method="gemm",
             band_bytes=4194304, band_rows=64, partitions=1,
         ),
         "fused-folded",
@@ -69,7 +70,7 @@ GOLDEN = [
             threads=4,
         ),
         dict(
-            engine="staged", blur_method="fft", fused_h_method="fft",
+            engine="staged", blur_method="fft", band_method=None,
             band_bytes=4194304, band_rows=48, partitions=4,
         ),
         "staged-fft",
@@ -82,7 +83,7 @@ GOLDEN = [
             color=True, threads=3,
         ),
         dict(
-            engine="fused", blur_method="folded", fused_h_method="folded",
+            engine="fused", blur_method="folded", band_method="folded",
             band_bytes=4194304, band_rows=25, partitions=3,
         ),
         "fused-folded",
@@ -133,7 +134,6 @@ class TestReferenceProfileFile:
         defaults = CalibrationProfile()
         assert profile.fft_crossover_taps == defaults.fft_crossover_taps
         assert profile.tiled_min_plane_bytes == defaults.tiled_min_plane_bytes
-        assert profile.fused_fft_min_taps == defaults.fused_fft_min_taps
         assert profile.fused_band_bytes == defaults.fused_band_bytes
         assert profile.calibrated is True
 
@@ -143,6 +143,5 @@ class TestReferenceProfileFile:
         assert "provenance" in raw  # ignored by the loader, kept for humans
         assert set(raw["provenance"]["measurements"]) == {
             "fft_crossover_taps", "tiled_min_plane_bytes",
-            "fused_fft_min_taps", "fused_band_bytes",
-            "fused_pooled_geometries",
+            "fused_band_bytes", "fused_pooled_geometries",
         }
