@@ -82,6 +82,28 @@ class BatchToneMapResult:
     pixels: int
 
 
+def batch_shape(images: Sequence[HDRImage]) -> tuple:
+    """The pixel shape every image of a non-empty batch shares.
+
+    Raises :class:`~repro.errors.ToneMapError` for an empty batch, a
+    non-:class:`HDRImage` entry or mixed shapes.
+    """
+    if len(images) == 0:
+        raise ToneMapError("batch must contain at least one image")
+    for image in images:
+        if not isinstance(image, HDRImage):
+            raise ToneMapError(f"expected HDRImage, got {type(image)!r}")
+    shape = images[0].pixels.shape
+    for image in images[1:]:
+        if image.pixels.shape != shape:
+            raise ToneMapError(
+                f"batch images must share one shape; got {shape} and "
+                f"{image.pixels.shape} (group by shape first, as "
+                "ToneMapService does)"
+            )
+    return shape
+
+
 class BatchToneMapper:
     """Runs the tone-mapping pipeline on stacks of same-shape images.
 
@@ -189,20 +211,7 @@ class BatchToneMapper:
 
     def run(self, images: Sequence[HDRImage]) -> BatchToneMapResult:
         """Tone-map a batch of same-shape images and return every output."""
-        if len(images) == 0:
-            raise ToneMapError("batch must contain at least one image")
-        for image in images:
-            if not isinstance(image, HDRImage):
-                raise ToneMapError(f"expected HDRImage, got {type(image)!r}")
-        shape = images[0].pixels.shape
-        for image in images[1:]:
-            if image.pixels.shape != shape:
-                raise ToneMapError(
-                    f"batch images must share one shape; got {shape} and "
-                    f"{image.pixels.shape} (group by shape first, as "
-                    "ToneMapService does)"
-                )
-
+        shape = batch_shape(images)
         self._maybe_jitter()
         height, width = shape[0], shape[1]
         count = len(images)

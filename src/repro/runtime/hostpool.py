@@ -19,14 +19,14 @@ Two classes:
   through ``run_leased``, and the result slab is sent back by
   reference — the wire hop adds zero staging copies on the host.
   ``repro-tonemap serve-host`` wraps it for the command line.
-* :class:`HostPool` — the routing client.  It speaks the same
-  duck-typed surface as ``ShardPool`` (``run_leased`` / ``run_stack`` /
-  ``run_batch``, the arena, the reliability counters), so
-  :class:`~repro.runtime.service.ToneMapService` and the ingestor run
-  unchanged on top of it (``ToneMapService(hosts=2)``).  Batches
-  round-robin across live hosts; each host serializes its in-flight
-  request on one connection, so concurrency comes from the service's
-  thread pool spreading batches over hosts.
+* :class:`HostPool` — the routing client, and the network transport of
+  the dispatch core (:class:`~repro.runtime.dispatch.DispatchPool`):
+  it shares ``ShardPool``'s front door, replay/hedge budgets and
+  counters, so :class:`~repro.runtime.service.ToneMapService` and the
+  ingestor run unchanged on top of it (``ToneMapService(hosts=2)``).
+  Batches round-robin across live hosts; each host serializes its
+  in-flight request on one connection, so concurrency comes from the
+  service's thread pool spreading batches over hosts.
 
 **Host failure lifecycle** — PR 8's worker reliability machinery,
 generalized one level up:
@@ -81,10 +81,10 @@ from repro.errors import (
     ToneMapError,
     WireProtocolError,
 )
-from repro.image.hdr import HDRImage
 from repro.runtime.arena import ArenaLease, ShmArena
 from repro.runtime.clock import MONOTONIC, Clock
-from repro.runtime.faults import FaultInjector, resolve_injector
+from repro.runtime.dispatch import AttemptFailed, DispatchPool
+from repro.runtime.faults import resolve_injector
 from repro.runtime.net import (
     MSG_ERR,
     MSG_OK,
@@ -96,12 +96,7 @@ from repro.runtime.net import (
     recv_message,
     send_message,
 )
-from repro.runtime.shard import (
-    AutoscalePolicy,
-    DataPlaneStats,
-    ShardAutoscaler,
-    ShardPool,
-)
+from repro.runtime.shard import ShardPool
 from repro.tonemap.fixed_blur import FixedBlurConfig
 from repro.tonemap.pipeline import ToneMapParams
 
@@ -111,6 +106,13 @@ HostAddress = Tuple[str, int]
 #: Wire dtypes a RUN frame may carry; a closed set so a corrupt frame
 #: cannot make ``np.dtype`` evaluate arbitrary type strings.
 _WIRE_DTYPES = frozenset(("float32",))
+
+
+def _release_held(holder: dict) -> None:
+    """Release the lease a receive sink parked in ``holder`` (if any)."""
+    lease = holder.pop("lease", None)
+    if lease is not None:
+        lease.release()
 
 
 def parse_address(value: Union[str, Tuple[str, int]]) -> HostAddress:
@@ -241,10 +243,10 @@ class HostServer:
                         conn, sink=self._make_sink(holder), counters=self._net
                     )
                 except (WireProtocolError, OSError):
-                    self._release(holder)
+                    _release_held(holder)
                     return
                 if frame is None:
-                    self._release(holder)
+                    _release_held(holder)
                     return  # client hung up between frames
                 msg_type, meta, _payload = frame
                 try:
@@ -266,7 +268,7 @@ class HostServer:
                 except (WireProtocolError, OSError):
                     return  # reply failed: connection is gone
                 finally:
-                    self._release(holder)
+                    _release_held(holder)
         finally:
             with self._conn_lock:
                 self._conns.discard(conn)
@@ -336,26 +338,11 @@ class HostServer:
                 in_lease,
                 timeout=None if timeout is None else float(timeout),
             )
-        except ShardTimeoutError as exc:
-            send_message(
-                conn,
-                MSG_ERR,
-                {
-                    "error": "ShardTimeoutError",
-                    "message": str(exc),
-                    "elapsed_ms": exc.elapsed_ms,
-                    "retries": exc.retries,
-                },
-                counters=self._net,
-            )
-            return
         except Exception as exc:  # noqa: BLE001 - becomes a typed reply
-            send_message(
-                conn,
-                MSG_ERR,
-                {"error": type(exc).__name__, "message": str(exc)},
-                counters=self._net,
-            )
+            error = {"error": type(exc).__name__, "message": str(exc)}
+            if isinstance(exc, ShardTimeoutError):
+                error.update(elapsed_ms=exc.elapsed_ms, retries=exc.retries)
+            send_message(conn, MSG_ERR, error, counters=self._net)
             return
         try:
             send_message(
@@ -370,12 +357,6 @@ class HostServer:
             )
         finally:
             out_lease.release()
-
-    @staticmethod
-    def _release(holder: dict) -> None:
-        lease = holder.pop("lease", None)
-        if lease is not None:
-            lease.release()
 
     def drain(self, timeout_s: float = 30.0) -> None:
         """Graceful stop: refuse new connections, answer in-flight
@@ -497,13 +478,16 @@ class _Host:
         return f"host[{self.index}]@{self.address[0]}:{self.address[1]}"
 
 
-class HostPool:
-    """Route batches across N shard hosts; a ``ShardPool`` drop-in.
+class HostPool(DispatchPool):
+    """Route batches across N shard hosts over TCP.
 
-    Construct with a list of addresses of already-running
-    :class:`HostServer` processes (``["10.0.0.1:7070", ...]``), or let
-    :meth:`spawn_local` start ``count`` localhost host processes and
-    own their lifecycle — ``ToneMapService(hosts=2)`` does the latter.
+    The network transport of the dispatch core
+    (:class:`~repro.runtime.dispatch.DispatchPool`, which owns the
+    front door, the replay/hedge budgets and the counters).  Construct
+    with a list of addresses of already-running :class:`HostServer`
+    processes (``["10.0.0.1:7070", ...]``), or let :meth:`spawn_local`
+    start ``count`` localhost host processes and own their lifecycle —
+    ``ToneMapService(hosts=2)`` does the latter.
 
     The pool owns a client-side :class:`~repro.runtime.arena.ShmArena`:
     producers write frames into leased input stacks exactly as with a
@@ -540,14 +524,6 @@ class HostPool:
         (``partition`` / ``slow_link`` / ``host_loss``) client-side.
     clock:
         Injectable time source shared with the reliability machinery.
-    autoscale_policy:
-        Optional :class:`~repro.runtime.shard.AutoscalePolicy` driving
-        an **advisory** host-level autoscaler: :meth:`observe` feeds
-        queue depth / p95 into it and returns the host count it
-        recommends.  Membership stays static — the pool cannot add
-        machines — but the recommendation and its ``scale_ups`` /
-        ``scale_downs`` counters tell an operator (or a future
-        provisioner) when the host set is under- or over-sized.
     """
 
     def __init__(
@@ -561,7 +537,6 @@ class HostPool:
         revive_wait_s: float = 30.0,
         faults=None,
         clock: Clock = MONOTONIC,
-        autoscale_policy: Optional[AutoscalePolicy] = None,
         _processes: Optional[Sequence] = None,
         _spawn_kwargs: Optional[dict] = None,
         _spawn_context=None,
@@ -569,14 +544,14 @@ class HostPool:
         addresses = [parse_address(value) for value in hosts]
         if not addresses:
             raise ToneMapError("HostPool needs at least one host")
-        if default_timeout_ms is not None and default_timeout_ms <= 0:
-            raise ToneMapError(
-                f"default_timeout_ms must be > 0, got {default_timeout_ms}"
-            )
-        if timeout_retries < 0:
-            raise ToneMapError(
-                f"timeout_retries must be >= 0, got {timeout_retries}"
-            )
+        super().__init__(
+            arena=arena,
+            arena_slots=arena_slots,
+            default_timeout_ms=default_timeout_ms,
+            timeout_retries=timeout_retries,
+            faults=faults,
+            clock=clock,
+        )
         processes = list(_processes) if _processes is not None else []
         self._hosts = [
             _Host(
@@ -586,47 +561,15 @@ class HostPool:
             )
             for index, address in enumerate(addresses)
         ]
-        self._owns_arena = arena is None
-        self.arena = arena if arena is not None else ShmArena(slots=arena_slots)
-        self._default_timeout_s = (
-            None if default_timeout_ms is None else default_timeout_ms / 1e3
-        )
-        self._timeout_retries = timeout_retries
         self._connect_timeout_s = connect_timeout_s
         self._revive_wait_s = revive_wait_s
-        self.faults: Optional[FaultInjector] = resolve_injector(faults)
-        self._clock = clock
-        self._net = NetCounters()
         self._spawn_kwargs = _spawn_kwargs
         self._spawn_context = _spawn_context
-        self._closed = False
-        self._draining = False
-        self._in_flight = 0
-        # Guards host liveness/membership; revivals notify waiters in
-        # _pick_host that a host came back, drain waits here for
-        # _in_flight to reach zero.
-        self._state = threading.Condition()
+        # Host liveness/membership is guarded by the core's _state
+        # condition: revivals notify waiters in _pick_host that a host
+        # came back.
         self._revive_threads: List[threading.Thread] = []
-        # Advisory host-level autoscaler: reuses the shard-level
-        # controller's hysteresis, but the recommendation is surfaced,
-        # not acted on (host membership is static).
-        self._host_autoscaler = (
-            ShardAutoscaler(autoscale_policy)
-            if autoscale_policy is not None
-            else None
-        )
-        self._scale_lock = threading.Lock()
-        self._scale_ups = 0
-        self._scale_downs = 0
-        self._recommended = len(addresses)
         self._hosts_drained = 0
-        self._count_lock = threading.Lock()
-        self._batches = 0
-        self._frames = 0
-        self._bytes_served = 0
-        self._hosts_lost = 0
-        self._host_respawns = 0
-        self._hedged_replays = 0
         self._timeouts = 0
         self._rr = 0
 
@@ -648,7 +591,6 @@ class HostPool:
         revive_wait_s: float = 30.0,
         faults=None,
         clock: Clock = MONOTONIC,
-        autoscale_policy: Optional[AutoscalePolicy] = None,
     ) -> "HostPool":
         """Start ``count`` localhost host processes and route over them.
 
@@ -699,20 +641,14 @@ class HostPool:
             revive_wait_s=revive_wait_s,
             faults=injector,
             clock=clock,
-            autoscale_policy=autoscale_policy,
             _processes=processes,
             _spawn_kwargs=spawn_kwargs,
             _spawn_context=context,
         )
 
     # ------------------------------------------------------------------
-    # Introspection (the ShardPool-compatible surface)
+    # Introspection
     # ------------------------------------------------------------------
-    @property
-    def autoscaling(self) -> bool:
-        """Whether an advisory host-level autoscaler is attached."""
-        return self._host_autoscaler is not None
-
     @property
     def active_shards(self) -> int:
         """Live hosts a batch can currently route to."""
@@ -723,96 +659,10 @@ class HostPool:
             )
 
     @property
-    def scale_ups(self) -> int:
-        """Times the advisory autoscaler recommended growing the set."""
-        with self._scale_lock:
-            return self._scale_ups
-
-    @property
-    def scale_downs(self) -> int:
-        """Times the advisory autoscaler recommended shrinking the set."""
-        with self._scale_lock:
-            return self._scale_downs
-
-    def observe(
-        self, queue_depth: int, p95_ms: Optional[float] = None
-    ) -> int:
-        """Feed one load observation to the advisory host autoscaler.
-
-        Returns the host count the policy currently recommends.  The
-        pool does **not** act on it — host membership is static — but
-        the overload machinery and operators read the recommendation
-        (and the ``scale_ups`` / ``scale_downs`` counters) to tell
-        when the host set is sized wrong for the offered load.
-        Without a policy this is a no-op returning the live host count.
-        """
-        if self._host_autoscaler is None:
-            return self.active_shards
-        with self._scale_lock:
-            target = self._host_autoscaler.observe(
-                self._recommended, queue_depth, p95_ms
-            )
-            if target > self._recommended:
-                self._scale_ups += 1
-            elif target < self._recommended:
-                self._scale_downs += 1
-            self._recommended = target
-            return target
-
-    @property
-    def recommended_hosts(self) -> int:
-        """Latest host-count recommendation (static without a policy)."""
-        with self._scale_lock:
-            return self._recommended
-
-    @property
-    def worker_respawns(self) -> int:
-        """Host processes this pool restarted after losing them."""
-        with self._count_lock:
-            return self._host_respawns
-
-    @property
-    def hosts_lost(self) -> int:
-        """Hosts declared dead (connection lost, partitioned, killed)."""
-        with self._count_lock:
-            return self._hosts_lost
-
-    @property
-    def hedged_replays(self) -> int:
-        """Batches replayed (preferring another host) after a timeout."""
-        with self._count_lock:
-            return self._hedged_replays
-
-    @property
     def watchdog_kills(self) -> int:
         """Timed-out attempts whose connection the pool severed."""
         with self._count_lock:
             return self._timeouts
-
-    @property
-    def net_stats(self) -> NetStats:
-        """Wire counters of the client endpoint."""
-        return self._net.stats
-
-    @property
-    def data_plane_stats(self) -> DataPlaneStats:
-        """Counters proving (or disproving) the zero-copy claims.
-
-        Same honesty contract as the single-host pool, now spanning the
-        wire: ``arena`` counts client-side staging, ``net.bytes_staged``
-        counts any payload byte that crossed userspace instead of
-        moving arena-slot ↔ socket directly (0 on the scatter-gather
-        path), and both join the ``copies_per_frame`` numerator.
-        """
-        with self._count_lock:
-            return DataPlaneStats(
-                batches=self._batches,
-                frames=self._frames,
-                bytes_served=self._bytes_served,
-                worker_respawns=self._host_respawns,
-                arena=self.arena.stats,
-                net=self._net.stats,
-            )
 
     def host_addresses(self) -> List[HostAddress]:
         """Current addresses, respawn-fresh (for tooling and tests)."""
@@ -820,211 +670,70 @@ class HostPool:
             return [host.address for host in self._hosts]
 
     # ------------------------------------------------------------------
-    # Execution
+    # Transport
     # ------------------------------------------------------------------
-    def lease_input(self, shape: tuple, dtype=np.float32) -> ArenaLease:
-        """Lease a client arena input stack for producers to write into."""
-        return self.arena.lease_input(shape, dtype)
-
-    def run_leased(
+    def _attempt(
         self,
         in_lease: ArenaLease,
-        count: Optional[int] = None,
-        retries: int = 1,
-        timeout: Optional[float] = None,
-    ) -> ArenaLease:
-        """Tone-map a stack already resident in the client arena.
-
-        The ``ShardPool.run_leased`` contract over the wire: the input
-        slot is handed to ``sendmsg`` by reference, the reply payload
-        lands in a freshly leased output slab, and the caller keeps
-        ownership of ``in_lease`` — which is what makes **replay**
-        free: when a host dies mid-batch the frames still sit in the
-        client arena, so the batch re-dispatches to another live host
-        up to ``retries`` times before
-        :class:`~repro.errors.ShardCrashError` (or, with no live host
-        left, :class:`~repro.errors.HostUnavailableError`) surfaces.
-        Timeouts — a local wire timeout or the host's own
-        ``ShardTimeoutError`` — spend the separate ``timeout_retries``
-        hedge budget instead, preferring a different host for the
-        hedge.
-        """
-        if in_lease.array is None:
-            raise ToneMapError("cannot run a released arena lease")
-        shape = in_lease.array.shape
-        if count is None:
-            count = shape[0]
-        if not 1 <= count <= shape[0]:
-            raise ToneMapError(
-                f"count must be in [1, {shape[0]}], got {count}"
-            )
-        run_shape = (count,) + tuple(shape[1:])
-        payload = in_lease.array[:count]
-        if timeout is None:
-            timeout = self._default_timeout_s
-        with self._state:
-            if self._draining or self._closed:
-                raise ToneMapError(
-                    "host pool is draining"
-                    if self._draining and not self._closed
-                    else "host pool is closed"
-                )
-            self._in_flight += 1
-        try:
-            return self._run_leased_admitted(
-                payload, run_shape, count, retries, timeout
-            )
-        finally:
-            with self._state:
-                self._in_flight -= 1
-                self._state.notify_all()
-
-    def _run_leased_admitted(
-        self,
-        payload: np.ndarray,
-        run_shape: tuple,
         count: int,
-        retries: int,
+        index: int,
+        kinds: frozenset,
         timeout: Optional[float],
+        avoid: Optional[_Host],
     ) -> ArenaLease:
-        spare = retries
-        hedge_spare = self._timeout_retries
-        start = self._clock.now()
-        avoid: Optional[_Host] = None
-        while True:
-            if self.faults is not None:
-                index, kinds = self.faults.next_attempt()
-            else:
-                index, kinds = 0, frozenset()
-            if "slow_link" in kinds:
-                self._clock.sleep(
-                    self.faults.plan.jitter_s(index, kind="slow_link")
-                )
-            host = self._pick_host(avoid)
-            if "host_loss" in kinds:
-                self._inject_host_loss(host)
-            if "partition" in kinds:
-                host.partitioned = True
-            try:
-                out_lease = self._dispatch(host, payload, run_shape, timeout)
-            except ShardTimeoutError:
-                # The host itself gave up (its watchdog + hedge budget
-                # spent).  The connection is fine; hedge on another
-                # host if the budget allows.
-                if hedge_spare <= 0:
-                    raise
-                hedge_spare -= 1
-                with self._count_lock:
-                    self._hedged_replays += 1
-                avoid = host
-                continue
-            except ShardCrashError:
-                # The host's own pool crashed past its replay budget —
-                # the host is alive, its workload is the problem.
-                if spare <= 0:
-                    raise
-                spare -= 1
-                avoid = host
-                continue
-            except TimeoutError as exc:
-                # Local wire timeout: the reply never came.  Sever the
-                # (now mid-frame) connection and hedge elsewhere; the
-                # host may still be alive and will be reconnected.
-                self._sever(host)
-                with self._count_lock:
-                    self._timeouts += 1
-                if hedge_spare <= 0:
-                    now = self._clock.now()
-                    used = self._timeout_retries - hedge_spare
-                    raise ShardTimeoutError(
-                        f"{count}-frame batch timed out on the wire to "
-                        f"{host.label} ({(now - start) * 1e3:.0f} ms "
-                        f"elapsed, {used} hedged replay(s))",
-                        elapsed_ms=(now - start) * 1e3,
-                        retries=used,
-                    ) from exc
-                hedge_spare -= 1
-                with self._count_lock:
-                    self._hedged_replays += 1
-                avoid = host
-                continue
-            except (WireProtocolError, OSError) as exc:
-                # The connection (or the host behind it) died.  Mark it
-                # lost — a revive thread heals it in the background —
-                # and replay on another host.
-                self._mark_lost(host)
-                avoid = host
-                if spare <= 0:
-                    raise ShardCrashError(
-                        f"{count}-frame batch lost {host.label} and the "
-                        f"replay budget is spent (hosts lost so far: "
-                        f"{self.hosts_lost})"
-                    ) from exc
-                spare -= 1
-                continue
-            break
-        with self._count_lock:
-            self._batches += 1
-            self._frames += count
-            self._bytes_served += out_lease.nbytes
-        return out_lease
+        """One request-response exchange with one live host.
 
-    def run_stack(
-        self, stack: np.ndarray, zero_copy: bool = False
-    ) -> Union[np.ndarray, ArenaLease]:
-        """Tone-map an ``(N, H, W[, 3])`` float stack across the hosts.
-
-        One counted staging copy moves the caller's array into a
-        pooled arena stack (same contract as ``ShardPool.run_stack``);
-        ``zero_copy=True`` returns the output lease instead of a
-        materialized copy.
+        The input slot is handed to ``sendmsg`` by reference and the
+        reply lands in a freshly leased output slab.  A torn connection
+        marks the host lost (a revive thread heals it in the
+        background) and reports a crash; a local wire timeout severs
+        the connection and reports a timeout; the host's own
+        ``ShardTimeoutError`` / ``ShardCrashError`` report the same two
+        outcomes.  Every failure names the host as the peer to avoid,
+        so the replay prefers another one.  With no live host at all,
+        :class:`~repro.errors.HostUnavailableError` propagates as is.
         """
-        stack = np.ascontiguousarray(stack, dtype=np.float32)
-        if stack.ndim not in (3, 4):
-            raise ToneMapError(
-                f"run_stack expects (N, H, W) or (N, H, W, 3), got "
-                f"{stack.shape}"
+        if "slow_link" in kinds:
+            self._clock.sleep(
+                self.faults.plan.jitter_s(index, kind="slow_link")
             )
-        if stack.shape[0] == 0:
-            raise ToneMapError("batch must contain at least one image")
-        in_lease = self.arena.lease_input(stack.shape, np.float32)
+        host = self._pick_host(avoid)
+        if "host_loss" in kinds:
+            self._inject_host_loss(host)
+        if "partition" in kinds:
+            host.partitioned = True
         try:
-            in_lease.array[:] = stack
-            self.arena._count_copy_in(stack.nbytes)
-            out_lease = self.run_leased(in_lease)
-        finally:
-            in_lease.release()
-        if zero_copy:
-            return out_lease
-        return out_lease.materialize()
-
-    def run_batch(self, images: Sequence[HDRImage]) -> tuple:
-        """Tone-map a same-shape batch; drop-in for ``BatchToneMapper.map``."""
-        if len(images) == 0:
-            raise ToneMapError("batch must contain at least one image")
-        for image in images:
-            if not isinstance(image, HDRImage):
-                raise ToneMapError(f"expected HDRImage, got {type(image)!r}")
-        shape = images[0].pixels.shape
-        for image in images:
-            if image.pixels.shape != shape:
-                raise ToneMapError(
-                    f"batch images must share one shape; got {shape} and "
-                    f"{image.pixels.shape} (group by shape first)"
-                )
-        stack_shape = (len(images),) + shape
-        in_lease = self.arena.lease_input(stack_shape, np.float32)
-        try:
-            for i, image in enumerate(images):
-                in_lease.array[i] = image.pixels
-            self.arena._count_copy_in(int(np.prod(stack_shape)) * 4)
-            out = self.run_leased(in_lease).materialize()
-        finally:
-            in_lease.release()
-        return tuple(
-            HDRImage.adopt(out[i], name=f"{images[i].name}:tonemapped")
-            for i in range(len(images))
-        )
+            return self._dispatch(host, in_lease.array[:count], timeout)
+        except ShardTimeoutError as exc:
+            # The host itself gave up (its watchdog + hedge budget
+            # spent).  The connection is fine.
+            raise AttemptFailed(
+                f"timed out on {host.label}", timed_out=True, peer=host
+            ) from exc
+        except ShardCrashError as exc:
+            # The host's own pool crashed past its replay budget — the
+            # host is alive, its workload is the problem.
+            raise AttemptFailed(
+                f"crashed the workers of {host.label}", peer=host
+            ) from exc
+        except TimeoutError as exc:
+            # Local wire timeout: the reply never came.  Sever the (now
+            # mid-frame) connection; the host may still be alive and
+            # will be reconnected.
+            self._sever(host)
+            with self._count_lock:
+                self._timeouts += 1
+            raise AttemptFailed(
+                f"timed out on the wire to {host.label}",
+                timed_out=True,
+                peer=host,
+            ) from exc
+        except (WireProtocolError, OSError) as exc:
+            self._mark_lost(host)
+            raise AttemptFailed(
+                f"lost {host.label} (hosts lost so far: {self.hosts_lost})",
+                peer=host,
+            ) from exc
 
     # ------------------------------------------------------------------
     # Wire dispatch
@@ -1088,7 +797,6 @@ class HostPool:
         self,
         host: _Host,
         payload: np.ndarray,
-        run_shape: tuple,
         timeout: Optional[float],
     ) -> ArenaLease:
         """One request-response exchange with one host.
@@ -1100,6 +808,7 @@ class HostPool:
         sink.  Any failure severs the connection and releases the
         half-filled lease — nothing leaks into the replay.
         """
+        run_shape = payload.shape
         holder: dict = {}
 
         def sink(msg_type: int, meta: dict):
@@ -1144,7 +853,7 @@ class HostPool:
                 )
                 frame = recv_message(sock, sink=sink, counters=self._net)
             except BaseException:
-                self._release_holder(holder)
+                _release_held(holder)
                 self._close_sock(host)
                 raise
             if frame is None:
@@ -1155,7 +864,7 @@ class HostPool:
         msg_type, meta, _payload = frame
         if msg_type == MSG_OK:
             return holder.pop("lease")
-        self._release_holder(holder)
+        _release_held(holder)
         if msg_type == MSG_ERR:
             raise self._remote_error(host, meta)
         raise WireProtocolError(
@@ -1176,12 +885,6 @@ class HostPool:
         if name in ("ShardCrashError", "HostUnavailableError"):
             return ShardCrashError(message)
         return ToneMapError(f"{message} ({name})")
-
-    @staticmethod
-    def _release_holder(holder: dict) -> None:
-        lease = holder.pop("lease", None)
-        if lease is not None:
-            lease.release()
 
     @staticmethod
     def _close_sock(host: _Host) -> None:
@@ -1293,7 +996,7 @@ class HostPool:
             host.address = address
             host.process = process
         with self._count_lock:
-            self._host_respawns += 1
+            self._respawns += 1
 
     def _inject_host_loss(self, host: _Host) -> None:
         """Chaos: take the serving host down hard (SIGKILL its group).
@@ -1307,13 +1010,7 @@ class HostPool:
             host.partitioned = True
             return
         if process.is_alive():
-            try:
-                os.killpg(process.pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError, OSError):
-                try:
-                    os.kill(process.pid, signal.SIGKILL)
-                except (ProcessLookupError, PermissionError, OSError):
-                    pass
+            _kill_host(process)
             process.join(timeout=10.0)
 
     # ------------------------------------------------------------------
@@ -1324,24 +1021,6 @@ class HostPool:
         """Hosts cycled through a graceful drain by ``rolling_restart``."""
         with self._count_lock:
             return self._hosts_drained
-
-    def drain(self) -> None:
-        """Graceful shutdown: stop admitting, finish in-flight, close.
-
-        New ``run_leased`` calls are refused immediately with
-        :class:`~repro.errors.ToneMapError`; batches already admitted
-        run to completion (including their replay/hedge budgets)
-        before :meth:`close` tears the pool down.  ``close`` joins the
-        revive threads, so a drain never leaves a reviver behind.
-        Idempotent; concurrent with ``close`` the stricter one wins.
-        """
-        with self._state:
-            if self._closed:
-                return
-            self._draining = True
-            while self._in_flight > 0 and not self._closed:
-                self._state.wait(timeout=0.5)
-        self.close()
 
     def rolling_restart(self) -> int:
         """Restart every owned host process, one at a time, zero-loss.
@@ -1407,8 +1086,8 @@ class HostPool:
                     self._state.notify_all()
         return restarted
 
-    def close(self) -> None:
-        """Drop connections, stop owned host processes, close the arena.
+    def _close_transport(self) -> None:
+        """Join the revive threads, drop connections, stop owned hosts.
 
         Revive threads are joined first: one mid-respawn could
         otherwise hand a *fresh* (non-daemon) host process to a record
@@ -1416,8 +1095,6 @@ class HostPool:
         interpreter exit.
         """
         with self._state:
-            self._closed = True
-            self._state.notify_all()
             revive_threads = list(self._revive_threads)
         for thread in revive_threads:
             # Generous: a thread can be inside a respawn, which waits
@@ -1429,14 +1106,6 @@ class HostPool:
         for host in self._hosts:
             if host.process is not None:
                 _terminate_host(host.process)
-        if self._owns_arena:
-            self.arena.close()
-
-    def __enter__(self) -> "HostPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
 
 # ----------------------------------------------------------------------
@@ -1482,13 +1151,18 @@ def _terminate_host(process) -> None:
             process.terminate()  # SIGTERM → clean SystemExit in the host
             process.join(timeout=10.0)
         if process.is_alive():  # pragma: no cover - stuck host
-            try:
-                os.killpg(process.pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError, OSError):
-                try:
-                    os.kill(process.pid, signal.SIGKILL)
-                except (ProcessLookupError, PermissionError, OSError):
-                    pass
+            _kill_host(process)
             process.join(timeout=5.0)
     except (ValueError, OSError):  # pragma: no cover - already reaped
         pass
+
+
+def _kill_host(process) -> None:
+    """SIGKILL a host's whole process group (its workers with it)."""
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except OSError:
+        try:
+            os.kill(process.pid, signal.SIGKILL)
+        except OSError:
+            pass

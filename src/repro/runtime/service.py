@@ -50,6 +50,7 @@ from repro.runtime.reliability import (
     CircuitBreaker,
     ReliabilityStats,
 )
+from repro.runtime.dispatch import DispatchPool
 from repro.runtime.shard import AutoscalePolicy, ShardPool
 from repro.tonemap.fixed_blur import FixedBlurConfig, make_fixed_blur_fn
 from repro.tonemap.pipeline import ToneMapParams
@@ -241,11 +242,8 @@ class ToneMapService:
         (default: host CPU count) the ceiling.
     max_shards / autoscale_policy:
         Autoscaler bounds / full policy override (see
-        :class:`~repro.runtime.shard.ShardPool`).  With ``hosts``
-        instead of ``shards``, ``autoscale_policy`` attaches the
-        **advisory** host-level autoscaler on the
-        :class:`~repro.runtime.hostpool.HostPool` — membership stays
-        static, but the pool reports when the host set is sized wrong.
+        :class:`~repro.runtime.shard.ShardPool`).  Require
+        ``autoscale=True``.
     arena_slots:
         Depth of the pool's shared-memory arena per size class (see
         :class:`~repro.runtime.arena.ShmArena`).
@@ -327,6 +325,15 @@ class ToneMapService:
                 "hosted service fans out across shard hosts, each of "
                 "which runs its own worker pool"
             )
+        if not autoscale and (
+            max_shards is not None or autoscale_policy is not None
+        ):
+            # Reject, don't ignore: a caller who set a bound expects it
+            # to bind.
+            raise ToneMapError(
+                "max_shards and autoscale_policy bound the shard "
+                "autoscaler; pass autoscale=True to use them"
+            )
         if autoscale and shards is None:
             shards = 1
         if shards is None and hosts is None and (
@@ -355,9 +362,9 @@ class ToneMapService:
                 f"got {type(breaker)!r}"
             )
         self._brownout_batches = 0
-        # A ShardPool, a HostPool (duck-typed to the same execution
-        # surface), or None for the in-process path.
-        self._pool = None
+        # A ShardPool, a HostPool (both DispatchPool transports), or
+        # None for the in-process path.
+        self._pool: Optional[DispatchPool] = None
         if shards is not None:
             self._pool = ShardPool(
                 params,
@@ -391,7 +398,6 @@ class ToneMapService:
                     default_timeout_ms=shard_timeout_ms,
                     faults=self._faults,
                     clock=clock,
-                    autoscale_policy=autoscale_policy,
                 )
             else:
                 self._pool = HostPool(
@@ -400,8 +406,9 @@ class ToneMapService:
                     default_timeout_ms=shard_timeout_ms,
                     faults=self._faults,
                     clock=clock,
-                    autoscale_policy=autoscale_policy,
                 )
+        # The shard pool whose active width the service steers.
+        self._scaled: Optional[ShardPool] = self._pool if autoscale else None
         local_params = params
         if fixed_config is not None:
             local_params = replace(
@@ -476,7 +483,7 @@ class ToneMapService:
         elapsed = self._clock.now() - start
         # Sorting the latency window costs O(W log W) under the lock, so
         # pay it only when an autoscaler actually consumes the p95.
-        wants_p95 = self._pool is not None and self._pool.autoscaling
+        wants_p95 = self._scaled is not None
         with self._lock:
             self._latencies_ms.append(elapsed * 1e3)
             self._stats = replace(
@@ -493,12 +500,8 @@ class ToneMapService:
                 if wants_p95
                 else None
             )
-        if self._pool is not None:
-            self._pool.observe(depth, p95_ms)
-
-    def _note_brownout(self) -> None:
-        with self._lock:
-            self._brownout_batches += 1
+        if self._scaled is not None:
+            self._scaled.observe(depth, p95_ms)
 
     # ------------------------------------------------------------------
     # Overload ladder hooks
@@ -548,45 +551,23 @@ class ToneMapService:
     def _run_admitted(self, images: Sequence[HDRImage]) -> tuple[HDRImage, ...]:
         """Execute one batch already counted by :meth:`_admit_batch`.
 
-        With a breaker configured, shard failures that exhausted the
-        pool's own retry budgets (:class:`~repro.errors.ShardCrashError`,
-        :class:`~repro.errors.ShardTimeoutError`) are recorded and the
-        batch browns out to the in-process mapper — bit-identical
-        outputs, so the caller sees latency, not an exception.  Without
-        a breaker those errors propagate exactly as before.
+        With a pool the images are written into one of its input leases
+        and the stack takes the same breaker route as
+        :meth:`submit_stack` (:meth:`_execute_stack`); the outputs are
+        adopted views into one materialized buffer.  Without a pool the
+        batch runs on the (ladder-aware) in-process mapper.
         """
         start = self._clock.now()
         try:
-            if self._pool is not None:
-                outputs = None
-                with self._lock:
-                    forced = self._forced_brownout
-                if forced or (
-                    self._breaker is not None
-                    and not self._breaker.allow_shard()
-                ):
-                    self._note_brownout()
-                    outputs = self._mapper.run(images).outputs
-                else:
-                    try:
-                        outputs = self._pool.run_batch(images)
-                    except (ShardCrashError, ShardTimeoutError):
-                        if self._breaker is None:
-                            raise
-                        self._breaker.record_failure()
-                        self._note_brownout()
-                        outputs = self._mapper.run(images).outputs
-                    else:
-                        if self._breaker is not None:
-                            self._breaker.record_success()
-                pixels = sum(
-                    int(im.pixels.shape[0]) * int(im.pixels.shape[1])
-                    for im in images
-                )
-            else:
+            if self._pool is None:
                 result = self._local_mapper().run(images)
-                outputs = result.outputs
-                pixels = result.pixels
+                outputs, pixels = result.outputs, result.pixels
+            else:
+                outputs, pixels = self._serve_stack(
+                    self._pool.lease_batch(images),
+                    len(images),
+                    [image.name for image in images],
+                )
         except BaseException:
             self._abort_batch()
             raise
@@ -601,7 +582,8 @@ class ToneMapService:
         stack code, so the outputs stay bit-identical to the sharded
         path — the brownout trades throughput, never correctness.
         """
-        self._note_brownout()
+        with self._lock:
+            self._brownout_batches += 1
         run_shape = (count,) + tuple(in_lease.array.shape[1:])
         out_lease = self._pool.arena.lease_output(run_shape, np.float32)
         try:
@@ -645,7 +627,28 @@ class ToneMapService:
         lease_results: bool = False,
         timeout: Optional[float] = None,
     ) -> tuple:
-        """Execute one arena-resident batch (zero-copy ingest path).
+        """Execute one arena-resident batch (zero-copy ingest path)."""
+        start = self._clock.now()
+        try:
+            outputs, pixels = self._serve_stack(
+                in_lease, count, names, lease_results, timeout
+            )
+        except BaseException:
+            self._abort_batch()
+            raise
+        self._finish_batch(start, count, pixels)
+        return outputs
+
+    def _serve_stack(
+        self,
+        in_lease: ArenaLease,
+        count: int,
+        names: Sequence[str],
+        lease_results: bool = False,
+        timeout: Optional[float] = None,
+    ) -> tuple[tuple, int]:
+        """Route one arena stack and wrap its outputs; returns
+        ``(outputs, pixels)``.
 
         Owns ``in_lease`` — released on every exit path.  By default the
         outputs are materialized once (the futures safety fallback: an
@@ -660,36 +663,27 @@ class ToneMapService:
         ``timeout`` (seconds) is the batch's remaining execution budget,
         forwarded to the pool's watchdog machinery.
         """
-        start = self._clock.now()
         try:
-            try:
-                out_lease = self._execute_stack(in_lease, count, timeout)
-            finally:
-                in_lease.release()
-            height = int(out_lease.array.shape[1])
-            width = int(out_lease.array.shape[2])
-            if lease_results:
-                outputs = tuple(
-                    ResultHandle(
-                        out_lease, slot=i, name=f"{names[i]}:tonemapped"
-                    )
-                    for i in range(count)
-                )
-                # Drop the batch's own reference: the slab now lives
-                # exactly as long as the longest-held frame handle.
-                out_lease.release()
-            else:
-                out = out_lease.materialize()
-                outputs = tuple(
-                    HDRImage.adopt(out[i], name=f"{names[i]}:tonemapped")
-                    for i in range(count)
-                )
-            pixels = count * height * width
-        except BaseException:
-            self._abort_batch()
-            raise
-        self._finish_batch(start, count, pixels)
-        return outputs
+            out_lease = self._execute_stack(in_lease, count, timeout)
+        finally:
+            in_lease.release()
+        height = int(out_lease.array.shape[1])
+        width = int(out_lease.array.shape[2])
+        if lease_results:
+            outputs = tuple(
+                ResultHandle(out_lease, slot=i, name=f"{names[i]}:tonemapped")
+                for i in range(count)
+            )
+            # Drop the batch's own reference: the slab now lives
+            # exactly as long as the longest-held frame handle.
+            out_lease.release()
+        else:
+            out = out_lease.materialize()
+            outputs = tuple(
+                HDRImage.adopt(out[i], name=f"{names[i]}:tonemapped")
+                for i in range(count)
+            )
+        return outputs, count * height * width
 
     def submit_stack(
         self,
@@ -719,19 +713,14 @@ class ToneMapService:
                 "zero-copy stack admission requires a sharded or hosted "
                 "service (construct with shards=N or hosts=...)"
             )
-        self._admit_batch()
-        try:
-            return self._executor.submit(
-                self._run_leased_admitted,
-                in_lease,
-                count,
-                list(names),
-                lease_results,
-                timeout,
-            )
-        except BaseException:
-            self._abort_batch()
-            raise
+        return self._enqueue(
+            self._run_leased_admitted,
+            in_lease,
+            count,
+            list(names),
+            lease_results,
+            timeout,
+        )
 
     def lease_input(self, frame_shape: tuple) -> ArenaLease:
         """Lease an arena input stack sized for one coalesced batch.
@@ -756,23 +745,20 @@ class ToneMapService:
         The batch counts toward ``queue_depth`` from this moment — queued
         behind the thread pool is still "admitted but not finished".
         """
-        self._admit_batch()
-        try:
-            return self._executor.submit(self._run_admitted, list(images))
-        except BaseException:
-            # Executor shut down mid-submit: the batch never entered the
-            # pool, so it must not haunt queue_depth forever.
-            self._abort_batch()
-            raise
+        return self._enqueue(self._run_admitted, list(images))
 
     def submit(self, image: HDRImage) -> "Future[HDRImage]":
         """Queue a single image; resolves to its tone-mapped output."""
+        return self._enqueue(lambda: self._run_admitted([image])[0])
+
+    def _enqueue(self, run, *args) -> Future:
+        """Admit one batch and queue ``run(*args)`` on the thread pool."""
         self._admit_batch()
         try:
-            return self._executor.submit(
-                lambda: self._run_admitted([image])[0]
-            )
+            return self._executor.submit(run, *args)
         except BaseException:
+            # Executor shut down mid-submit: the batch never entered the
+            # pool, so it must not haunt queue_depth forever.
             self._abort_batch()
             raise
 
@@ -837,19 +823,20 @@ class ToneMapService:
                 latency_p95_ms=_percentile(ordered, 0.95),
                 latency_p99_ms=_percentile(ordered, 0.99),
             )
+            brownouts = self._brownout_batches
         if self._pool is not None:
-            with self._lock:
-                brownouts = self._brownout_batches
             snapshot = replace(
                 snapshot,
                 shards_active=self._pool.active_shards,
-                scale_ups=self._pool.scale_ups,
-                scale_downs=self._pool.scale_downs,
+                scale_ups=self._scaled.scale_ups if self._scaled else 0,
+                scale_downs=(
+                    self._scaled.scale_downs if self._scaled else 0
+                ),
                 shard_respawns=self._pool.worker_respawns,
                 reliability=ReliabilityStats(
                     hedged_replays=self._pool.hedged_replays,
                     watchdog_kills=self._pool.watchdog_kills,
-                    hosts_lost=getattr(self._pool, "hosts_lost", 0),
+                    hosts_lost=self._pool.hosts_lost,
                     breaker_state=(
                         self._breaker.state
                         if self._breaker is not None
@@ -898,10 +885,7 @@ class ToneMapService:
         if degraded is not None:
             degraded.close()
         if self._pool is not None:
-            stop = (
-                getattr(self._pool, "drain", None) if graceful else None
-            )
-            (stop or self._pool.close)()
+            (self._pool.drain if graceful else self._pool.close)()
         with self._lock:
             self._closed = True
 

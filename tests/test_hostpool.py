@@ -21,13 +21,16 @@ import pytest
 from repro.errors import ToneMapError
 from repro.image import HDRImage
 from repro.runtime import (
+    AutoscalePolicy,
     BatchToneMapper,
     FaultPlan,
     HostPool,
     HostServer,
+    ShardPool,
     ToneMapIngestor,
     ToneMapService,
 )
+from repro.runtime.dispatch import DispatchPool
 from repro.runtime.hostpool import parse_address
 from repro.tonemap.pipeline import ToneMapParams
 
@@ -132,10 +135,12 @@ class TestHostPoolEndToEnd:
         np.testing.assert_array_equal(got, _want(stack))
 
     def test_shard_pool_compatible_surface(self, pool):
-        assert pool.autoscaling is False
+        # Both pools are transports of one dispatch core; neither
+        # subclasses the other, and the host pool has no autoscaler.
+        assert isinstance(pool, DispatchPool)
+        assert not isinstance(pool, ShardPool)
+        assert not hasattr(pool, "observe")
         assert pool.active_shards == 2
-        assert pool.scale_ups == 0 and pool.scale_downs == 0
-        assert pool.observe(10, p95_ms=500.0) == 2  # no host autoscaler
         assert len(pool.host_addresses()) == 2
         assert pool.hosts_lost == 0
         assert pool.data_plane_stats.worker_respawns == pool.worker_respawns
@@ -194,6 +199,14 @@ class TestHostedService:
             got = np.stack([o.pixels for o in outputs]).astype(np.float32)
             np.testing.assert_array_equal(got, want)
             assert service.stats.reliability.hosts_lost == 0
+
+    def test_hosted_service_rejects_an_autoscale_policy(self):
+        # Host membership is static: there is no host autoscaler to
+        # hand a policy to, so the service refuses it up front.
+        with pytest.raises(ToneMapError, match="autoscale=True"):
+            ToneMapService(
+                PARAMS, hosts=2, autoscale_policy=AutoscalePolicy()
+            )
 
 
 @pytest.mark.fault

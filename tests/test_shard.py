@@ -425,6 +425,33 @@ class TestPoolAutoscaling:
         with pytest.raises(ToneMapError):
             ShardPool(PARAMS, shards=3, autoscale=True, max_shards=2)
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"policy": AutoscalePolicy(min_shards=1, max_shards=2)},
+            {"max_shards": 3},
+        ],
+        ids=["policy", "max_shards"],
+    )
+    def test_pool_autoscale_knobs_require_autoscale(self, knobs):
+        # Regression: these used to be silently ignored (one worker,
+        # autoscaling off).
+        with pytest.raises(ToneMapError, match="autoscale=True"):
+            ShardPool(PARAMS, shards=1, **knobs)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"shards": 1, "autoscale_policy": AutoscalePolicy()},
+            {"shards": 1, "max_shards": 2},
+            {"max_shards": 2},
+        ],
+        ids=["sharded-policy", "sharded-max", "in-process-max"],
+    )
+    def test_service_autoscale_knobs_require_autoscale(self, knobs):
+        with pytest.raises(ToneMapError, match="autoscale=True"):
+            ToneMapService(PARAMS, **knobs)
+
 
 class TestServiceSharding:
     def test_sharded_service_matches_local(self):
