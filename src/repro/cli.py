@@ -21,10 +21,8 @@ directory of .pfm/.ppm files, or synthetic scenes) through the batched
 :class:`repro.runtime.ToneMapService` thread pool and reports aggregate
 pixels/second.  ``--shards`` partitions every batch across worker
 processes over the persistent shared-memory arena (``--arena-slots``
-sets its depth); ``--autoscale`` (with ``--min-shards``/``--max-shards``)
-grows and shrinks the active shard set from queue-depth and p95-latency
-signals; ``--max-delay-ms`` / ``--queue-limit`` / ``--policy`` stream
-the images through the :class:`repro.runtime.ToneMapIngestor` front-end
+sets its depth); ``--max-delay-ms`` / ``--queue-limit`` / ``--policy``
+stream the images through the :class:`repro.runtime.ToneMapIngestor` front-end
 (deadline coalescing + bounded-queue backpressure, zero-copy into the
 arena when sharded) instead of submitting them as one pre-grouped
 workload; ``--deadline-ms`` / ``--shard-timeout-ms`` / ``--breaker`` /
@@ -147,20 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
              "processes (2 workers each), a comma-separated "
              "host:port list connects to already-running "
              "'serve-host' processes; mutually exclusive with "
-             "--shards/--autoscale",
-    )
-    batch.add_argument(
-        "--autoscale", action="store_true",
-        help="grow/shrink the active shard set from queue-depth and "
-             "p95-latency signals (implies a shard pool)",
-    )
-    batch.add_argument(
-        "--min-shards", type=int, default=None,
-        help="autoscale floor (default: --shards, or 1)",
-    )
-    batch.add_argument(
-        "--max-shards", type=int, default=None,
-        help="autoscale ceiling (default: host CPU count)",
+             "--shards",
     )
     batch.add_argument(
         "--arena-slots", type=int, default=None,
@@ -214,14 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-attempt batch execution budget on the shard pool: the "
              "watchdog SIGKILLs workers that hold a batch past it and "
              "hedge-replays the batch once (requires --shards or "
-             "--autoscale)",
+             "--hosts)",
     )
     batch.add_argument(
         "--breaker", type=int, default=None, metavar="K",
         help="circuit breaker: after K shard failures in a 30 s window, "
              "brown batches out to the in-process mapper (bit-identical, "
              "slower) until probes succeed (requires --shards or "
-             "--autoscale)",
+             "--hosts)",
     )
     batch.add_argument(
         "--slo-p95-ms", type=float, default=None,
@@ -413,10 +398,6 @@ def run_batch(args) -> None:
     from repro.tonemap.fixed_blur import FixedBlurConfig
     from repro.tonemap.pipeline import ToneMapParams
 
-    import os
-
-    from repro.runtime import AutoscalePolicy
-
     # Flag validation first: a usage error must not cost the caller the
     # synthetic-image generation below.
     if args.threads is not None and args.fixed:
@@ -438,10 +419,10 @@ def run_batch(args) -> None:
         raise SystemExit(f"--slo-p95-ms must be > 0, got {args.slo_p95_ms}")
     hosts = None
     if args.hosts is not None:
-        if args.shards is not None or args.autoscale:
+        if args.shards is not None:
             raise SystemExit(
-                "--hosts and --shards/--autoscale are mutually exclusive "
-                "— each host runs its own worker pool"
+                "--hosts and --shards are mutually exclusive — each host "
+                "runs its own worker pool"
             )
         if args.hosts.isdigit():
             hosts = int(args.hosts)
@@ -455,12 +436,10 @@ def run_batch(args) -> None:
         (args.shard_timeout_ms is not None or args.breaker is not None)
         and args.shards is None
         and hosts is None
-        and not args.autoscale
     ):
         raise SystemExit(
             "--shard-timeout-ms/--breaker require a shard pool "
-            "(--shards, --autoscale or --hosts) — they guard the "
-            "worker processes"
+            "(--shards or --hosts) — they guard the worker processes"
         )
     fault_plan = None
     if args.fault_plan is not None:
@@ -519,46 +498,14 @@ def run_batch(args) -> None:
         or args.slo_p95_ms is not None
     )
     shards = args.shards
-    if args.lease_results and shards is None and hosts is None \
-            and not args.autoscale:
+    if args.lease_results and shards is None and hosts is None:
         raise SystemExit(
-            "--lease-results requires a shard pool (--shards, "
-            "--autoscale or --hosts) — the handles lease from its arena"
+            "--lease-results requires a shard pool (--shards or --hosts) "
+            "— the handles lease from its arena"
         )
-    autoscale_policy = None
-    if not args.autoscale:
-        # Reject (don't silently ignore) knobs that only autoscaling
-        # reads: a user who set a bound expects it to bind.
-        if args.min_shards is not None or args.max_shards is not None:
-            raise SystemExit(
-                "--min-shards/--max-shards require --autoscale"
-            )
-        if args.arena_slots is not None and shards is None and hosts is None:
-            raise SystemExit(
-                "--arena-slots requires a shard pool (--shards, "
-                "--autoscale or --hosts)"
-            )
-    else:
-        # --min-shards is the shrink floor (it may sit below the initial
-        # --shards width); --max-shards the grow ceiling.
-        floor = (
-            args.min_shards if args.min_shards is not None else (shards or 1)
-        )
-        # The initial width starts at least at the floor (asking for a
-        # floor of 4 with --shards 2 means "start with 4").
-        shards = floor if shards is None else max(shards, floor)
-        ceiling = (
-            args.max_shards
-            if args.max_shards is not None
-            else max(shards, os.cpu_count() or shards)
-        )
-        if ceiling < max(shards, floor):
-            raise SystemExit(
-                f"--max-shards ({ceiling}) must be >= --shards/--min-shards "
-                f"({max(shards, floor)})"
-            )
-        autoscale_policy = AutoscalePolicy(
-            min_shards=floor, max_shards=ceiling
+    if args.arena_slots is not None and shards is None and hosts is None:
+        raise SystemExit(
+            "--arena-slots requires a shard pool (--shards or --hosts)"
         )
     dropped = 0
     expired = 0
@@ -570,8 +517,6 @@ def run_batch(args) -> None:
         shards=shards,
         hosts=hosts,
         fixed_config=fixed_config,
-        autoscale=args.autoscale,
-        autoscale_policy=autoscale_policy,
         arena_slots=4 if args.arena_slots is None else args.arena_slots,
         fused_threads=args.threads,
         plan=plan,
@@ -675,10 +620,6 @@ def run_batch(args) -> None:
             print(f"  hosts lost    : {stats.reliability.hosts_lost}")
     else:
         print(f"  shards        : {shards or 1} process(es)")
-    if args.autoscale:
-        print(f"  autoscale     : active {stats.shards_active} "
-              f"(scale-ups {stats.scale_ups}, "
-              f"scale-downs {stats.scale_downs})")
     print(f"  wall time     : {elapsed:.3f} s")
     print(f"  throughput    : {stats.pixels / elapsed:,.0f} pixels/sec")
     if streaming:

@@ -22,9 +22,6 @@ crossover is the smallest grid point from which the challenger path wins
 at every remaining grid point — a single noisy win does not move the
 dispatch.  ``--quick`` shrinks the grids for smoke runs (CI / tests);
 use the defaults (or larger ``--rounds``) for a real calibration.
-
-``tools/calibrate_crossover.py`` remains as a thin shim over this
-module for callers of the historical entry point.
 """
 
 from __future__ import annotations

@@ -51,10 +51,9 @@ from repro.runtime.overload import (
 )
 from repro.runtime.reliability import BreakerPolicy, CircuitBreaker
 from repro.runtime.service import ServiceStats, TenantStats, ToneMapService
-from repro.runtime.shard import AutoscalePolicy, ShardAutoscaler, ShardPool
+from repro.runtime.shard import ShardPool
 
 __all__ = [
-    "AutoscalePolicy",
     "BackpressurePolicy",
     "BatchToneMapper",
     "BreakerPolicy",
@@ -74,7 +73,6 @@ __all__ = [
     "ServiceClass",
     "ServiceLevelObjective",
     "ServiceStats",
-    "ShardAutoscaler",
     "ShardPool",
     "TenantConfig",
     "TenantStats",

@@ -56,7 +56,8 @@ consumer cannot be trusted to release a slab promptly); with
 ``lease_results=True`` futures instead resolve to zero-copy
 :class:`~repro.runtime.arena.ResultHandle` views that the consumer
 explicitly releases back to the slab ring.  In-process services keep
-the parked-images copy path (``zero_copy=False``).
+the parked-images copy path (:attr:`ToneMapIngestor.zero_copy` is
+``False``).
 
 **Service classes and EDF.**  Each submission also carries a
 :class:`ServiceClass` (``interactive`` / ``standard`` / ``best_effort``,
@@ -384,12 +385,6 @@ class ToneMapIngestor:
     policy:
         Default :class:`BackpressurePolicy` (or its string value);
         individual tenants may override via :class:`TenantConfig`.
-    zero_copy:
-        Write each batch straight into the service's shared-memory
-        arena at dispatch time instead of re-staging it (see the module
-        docstring).  Defaults to on exactly when the service is sharded
-        — the arena belongs to the shard pool; requesting it against an
-        in-process service raises.
     tenants:
         Optional mapping of tenant name → :class:`TenantConfig` (or a
         bare number, shorthand for a weight).  Unknown tenants are
@@ -408,8 +403,8 @@ class ToneMapIngestor:
         Resolve futures to zero-copy
         :class:`~repro.runtime.arena.ResultHandle` views (the consumer
         must release them) instead of materialized
-        :class:`~repro.image.hdr.HDRImage` copies.  Requires the
-        zero-copy path (sharded service).
+        :class:`~repro.image.hdr.HDRImage` copies.  Requires a sharded or
+        hosted service — the handles lease from its pool's arena.
     max_inflight_batches:
         Dispatch gate: how many batches may be in the service at once.
         Defaults to the service's thread-pool width — enough to keep
@@ -443,7 +438,6 @@ class ToneMapIngestor:
         max_delay_ms: float = 5.0,
         queue_limit: int = 64,
         policy: Union[BackpressurePolicy, str] = BackpressurePolicy.BLOCK,
-        zero_copy: Optional[bool] = None,
         tenants: Optional[Mapping[str, Union[TenantConfig, Real]]] = None,
         per_tenant_queue_limit: Optional[int] = None,
         lease_results: bool = False,
@@ -470,18 +464,11 @@ class ToneMapIngestor:
                 "max_inflight_batches must be >= 1, got "
                 f"{max_inflight_batches}"
             )
-        if zero_copy is None:
-            zero_copy = service.pool is not None
-        elif zero_copy and service.pool is None:
+        if lease_results and service.pool is None:
             raise ToneMapError(
-                "zero-copy ingest requires a sharded or hosted service "
-                "(construct ToneMapService with shards=N or hosts=...)"
-            )
-        if lease_results and not zero_copy:
-            raise ToneMapError(
-                "lease-native results require the zero-copy ingest path "
-                "(a sharded service with zero_copy enabled) — the arena "
-                "slab ring is what the handles lease from"
+                "lease-native results require a sharded or hosted service "
+                "(construct ToneMapService with shards=N or hosts=...) — "
+                "the pool's arena slab ring is what the handles lease from"
             )
         if default_deadline_ms is not None and default_deadline_ms <= 0:
             raise ToneMapError(
@@ -506,7 +493,10 @@ class ToneMapIngestor:
                 f"or ServiceLevelObjective, got {type(overload)!r}"
             )
         self.policy = BackpressurePolicy(policy)
-        self.zero_copy = bool(zero_copy)
+        #: Whether batches are written straight into the pool's
+        #: shared-memory arena at dispatch (see the module docstring) —
+        #: exactly when the service has a pool.
+        self.zero_copy = service.pool is not None
         self.lease_results = bool(lease_results)
         self.per_tenant_queue_limit = per_tenant_queue_limit
         self.max_inflight_batches = (
@@ -1177,11 +1167,10 @@ class ToneMapIngestor:
     def _observe_overload_locked(self) -> bool:
         """Feed the ladder one observation; True if the rung changed.
 
-        Runs at batch-completion cadence (the same place the shard
-        autoscaler observes).  Entering ``shed_best_effort`` from below
-        drops already-queued best-effort frames immediately — admission
-        suspension alone would let them squat on seats for the rest of
-        the storm.
+        Runs at batch-completion cadence.  Entering ``shed_best_effort``
+        from below drops already-queued best-effort frames immediately —
+        admission suspension alone would let them squat on seats for the
+        rest of the storm.
         """
         if self._overload is None:
             return False

@@ -44,10 +44,7 @@ fake-clock testable, like the circuit breaker).
 
 Every transition is counted and the current rung is surfaced through
 :class:`~repro.runtime.reliability.ReliabilityStats` (``ladder_rung`` /
-``ladder_transitions`` / ``ladder_shed``) and the CLI report.  The same
-queue-depth / p95 signals feed the host-level autoscaler
-(:meth:`repro.runtime.hostpool.HostPool.observe`), so the ladder and the
-scale-out policy read one truth.
+``ladder_transitions`` / ``ladder_shed``) and the CLI report.
 """
 
 from __future__ import annotations
@@ -160,8 +157,8 @@ class OverloadController:
     """Walks the degradation ladder from (p95, queue-depth) observations.
 
     Thread-safe and clock-injected; the ingestor feeds
-    :meth:`observe` once per completed batch (the same cadence the
-    shard autoscaler observes at) and applies the returned rung.  The
+    :meth:`observe` once per completed batch and applies the returned
+    rung.  The
     controller holds no references to the service — it is a pure policy
     object, so tests drive it observation by observation with a
     :class:`~repro.runtime.clock.FakeClock`.

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from contextlib import ExitStack
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -51,7 +52,7 @@ from repro.runtime.reliability import (
     ReliabilityStats,
 )
 from repro.runtime.dispatch import DispatchPool
-from repro.runtime.shard import AutoscalePolicy, ShardPool
+from repro.runtime.shard import ShardPool
 from repro.tonemap.fixed_blur import FixedBlurConfig, make_fixed_blur_fn
 from repro.tonemap.pipeline import ToneMapParams
 
@@ -135,11 +136,8 @@ class ServiceStats:
         (:data:`LATENCY_WINDOW` samples): batch execution time for the
         bare service, per-image submit-to-result time for the ingestor.
     shards_active:
-        Worker processes batches currently fan out across (0 without a
-        shard pool).  Moves between the configured bounds when
-        autoscaling is on.
-    scale_ups / scale_downs:
-        Autoscaler decisions applied so far.
+        Workers (shard processes, or live hosts of a hosted service)
+        batches fan out across; 0 without a pool.
     shard_respawns:
         Worker-set rebuilds performed after worker crashes (0 in
         health; see :meth:`~repro.runtime.shard.ShardPool.run_leased`).
@@ -167,8 +165,6 @@ class ServiceStats:
     latency_p95_ms: float = 0.0
     latency_p99_ms: float = 0.0
     shards_active: int = 0
-    scale_ups: int = 0
-    scale_downs: int = 0
     shard_respawns: int = 0
     reliability: ReliabilityStats = ReliabilityStats()
     tenants: tuple[TenantStats, ...] = ()
@@ -225,25 +221,15 @@ class ToneMapService:
         ``"host:port"`` addresses connects to externally started
         servers (CLI ``serve-host``), and a ready
         :class:`~repro.runtime.hostpool.HostPool` is adopted as-is
-        (the service closes it).  Mutually exclusive with ``shards`` /
-        ``autoscale``; the breaker, ``shard_timeout_ms``, and the
-        zero-copy admission path all apply to hosts exactly as they do
-        to shards.
+        (the service closes it, also when construction fails).
+        Mutually exclusive with ``shards``; the breaker,
+        ``shard_timeout_ms``, and the zero-copy admission path all apply
+        to hosts exactly as they do to shards.
     fixed_config:
         Convenience for the bit-accurate fixed-point blur: equivalent to
         ``blur_fn=make_fixed_blur_fn(fixed_config)`` in-process, and the
         only way to request fixed point from sharded workers (closures do
         not pickle).
-    autoscale:
-        Grow/shrink the active shard set from queue-depth and p95-latency
-        signals (hysteresis per
-        :class:`~repro.runtime.shard.AutoscalePolicy`).  Implies a shard
-        pool; ``shards`` (default 1) is the floor, ``max_shards``
-        (default: host CPU count) the ceiling.
-    max_shards / autoscale_policy:
-        Autoscaler bounds / full policy override (see
-        :class:`~repro.runtime.shard.ShardPool`).  Require
-        ``autoscale=True``.
     arena_slots:
         Depth of the pool's shared-memory arena per size class (see
         :class:`~repro.runtime.arena.ShmArena`).
@@ -299,9 +285,6 @@ class ToneMapService:
         batch_size: int = 8,
         shards: Optional[int] = None,
         fixed_config: Optional[FixedBlurConfig] = None,
-        autoscale: bool = False,
-        max_shards: Optional[int] = None,
-        autoscale_policy: Optional[AutoscalePolicy] = None,
         arena_slots: int = 4,
         fused_threads: Optional[int] = None,
         plan=None,
@@ -312,126 +295,126 @@ class ToneMapService:
         hosts=None,
         clock: Clock = MONOTONIC,
     ):
-        params = params if params is not None else ToneMapParams()
-        if batch_size < 1:
-            raise ToneMapError(f"batch_size must be >= 1, got {batch_size}")
-        if fixed_config is not None and params.blur_fn is not None:
-            raise ToneMapError(
-                "pass either params.blur_fn or fixed_config, not both"
-            )
-        if hosts is not None and (shards is not None or autoscale):
-            raise ToneMapError(
-                "hosts and shards/autoscale are mutually exclusive — a "
-                "hosted service fans out across shard hosts, each of "
-                "which runs its own worker pool"
-            )
-        if not autoscale and (
-            max_shards is not None or autoscale_policy is not None
-        ):
-            # Reject, don't ignore: a caller who set a bound expects it
-            # to bind.
-            raise ToneMapError(
-                "max_shards and autoscale_policy bound the shard "
-                "autoscaler; pass autoscale=True to use them"
-            )
-        if autoscale and shards is None:
-            shards = 1
-        if shards is None and hosts is None and (
-            shard_timeout_ms is not None or breaker is not None
-        ):
-            raise ToneMapError(
-                "shard_timeout_ms and breaker require a sharded or hosted "
-                "service (construct with shards=N or hosts=...) — the "
-                "in-process path has no workers to watch or brown out from"
-            )
-        self.params = params
-        self.batch_size = batch_size
-        self.shards = shards
-        self.plan = plan
-        self._clock = clock
-        self._faults = resolve_injector(faults)
-        if breaker is None or isinstance(breaker, CircuitBreaker):
-            self._breaker: Optional[CircuitBreaker] = breaker
-        elif breaker is True:
-            self._breaker = CircuitBreaker(BreakerPolicy(), clock=clock)
-        elif isinstance(breaker, BreakerPolicy):
-            self._breaker = CircuitBreaker(breaker, clock=clock)
-        else:
-            raise ToneMapError(
-                "breaker must be True, a BreakerPolicy or a CircuitBreaker, "
-                f"got {type(breaker)!r}"
-            )
-        self._brownout_batches = 0
-        # A ShardPool, a HostPool (both DispatchPool transports), or
-        # None for the in-process path.
-        self._pool: Optional[DispatchPool] = None
-        if shards is not None:
-            self._pool = ShardPool(
-                params,
-                shards=shards,
-                fixed_config=fixed_config,
-                autoscale=autoscale,
-                max_shards=max_shards,
-                policy=autoscale_policy,
-                arena_slots=arena_slots,
-                fused_threads=fused_threads,
-                plan=plan,
-                default_timeout_ms=shard_timeout_ms,
-                faults=self._faults,
-                clock=clock,
-            )
-        elif hosts is not None:
-            # Imported here so the single-host stack never pays for the
-            # networking module.
-            from repro.runtime.hostpool import HostPool
-
-            if isinstance(hosts, HostPool):
-                self._pool = hosts
-            elif isinstance(hosts, int):
-                self._pool = HostPool.spawn_local(
-                    hosts,
+        # The pool and mapper built (or adopted) below are closed again
+        # if a later step of this constructor raises — a leaked host
+        # process would hold the interpreter open at exit.  The executor
+        # is the last step that can fail, so it never needs closing.
+        with ExitStack() as undo:
+            if isinstance(hosts, DispatchPool):
+                undo.callback(hosts.close)
+            params = params if params is not None else ToneMapParams()
+            if batch_size < 1:
+                raise ToneMapError(
+                    f"batch_size must be >= 1, got {batch_size}"
+                )
+            if fixed_config is not None and params.blur_fn is not None:
+                raise ToneMapError(
+                    "pass either params.blur_fn or fixed_config, not both"
+                )
+            if hosts is not None and shards is not None:
+                raise ToneMapError(
+                    "hosts and shards are mutually exclusive — a hosted "
+                    "service fans out across shard hosts, each of which "
+                    "runs its own worker pool"
+                )
+            if shards is None and hosts is None and (
+                shard_timeout_ms is not None or breaker is not None
+            ):
+                raise ToneMapError(
+                    "shard_timeout_ms and breaker require a sharded or "
+                    "hosted service (construct with shards=N or hosts=...) "
+                    "— the in-process path has no workers to watch or "
+                    "brown out from"
+                )
+            self.params = params
+            self.batch_size = batch_size
+            self.shards = shards
+            self.plan = plan
+            self._clock = clock
+            self._faults = resolve_injector(faults)
+            if breaker is None or isinstance(breaker, CircuitBreaker):
+                self._breaker: Optional[CircuitBreaker] = breaker
+            elif breaker is True:
+                self._breaker = CircuitBreaker(BreakerPolicy(), clock=clock)
+            elif isinstance(breaker, BreakerPolicy):
+                self._breaker = CircuitBreaker(breaker, clock=clock)
+            else:
+                raise ToneMapError(
+                    "breaker must be True, a BreakerPolicy or a "
+                    f"CircuitBreaker, got {type(breaker)!r}"
+                )
+            self._brownout_batches = 0
+            # A ShardPool, a HostPool (both DispatchPool transports), or
+            # None for the in-process path.
+            self._pool: Optional[DispatchPool] = None
+            if shards is not None:
+                self._pool = ShardPool(
                     params,
+                    shards=shards,
                     fixed_config=fixed_config,
+                    arena_slots=arena_slots,
                     fused_threads=fused_threads,
                     plan=plan,
-                    arena_slots=arena_slots,
                     default_timeout_ms=shard_timeout_ms,
                     faults=self._faults,
                     clock=clock,
                 )
-            else:
-                self._pool = HostPool(
-                    hosts,
-                    arena_slots=arena_slots,
-                    default_timeout_ms=shard_timeout_ms,
-                    faults=self._faults,
-                    clock=clock,
+                undo.callback(self._pool.close)
+            elif hosts is not None:
+                # Imported here so the single-host stack never pays for
+                # the networking module.
+                from repro.runtime.hostpool import HostPool
+
+                if isinstance(hosts, HostPool):
+                    self._pool = hosts
+                elif isinstance(hosts, int):
+                    self._pool = HostPool.spawn_local(
+                        hosts,
+                        params,
+                        fixed_config=fixed_config,
+                        fused_threads=fused_threads,
+                        plan=plan,
+                        arena_slots=arena_slots,
+                        default_timeout_ms=shard_timeout_ms,
+                        faults=self._faults,
+                        clock=clock,
+                    )
+                else:
+                    self._pool = HostPool(
+                        hosts,
+                        arena_slots=arena_slots,
+                        default_timeout_ms=shard_timeout_ms,
+                        faults=self._faults,
+                        clock=clock,
+                    )
+                if self._pool is not hosts:
+                    undo.callback(self._pool.close)
+            local_params = params
+            if fixed_config is not None:
+                local_params = replace(
+                    params, blur_fn=make_fixed_blur_fn(fixed_config)
                 )
-        # The shard pool whose active width the service steers.
-        self._scaled: Optional[ShardPool] = self._pool if autoscale else None
-        local_params = params
-        if fixed_config is not None:
-            local_params = replace(
-                params, blur_fn=make_fixed_blur_fn(fixed_config)
+            self._local_params = local_params
+            self._mapper = BatchToneMapper(
+                local_params,
+                threads=fused_threads,
+                plan=plan,
+                # Share the pool's injector: slow-batch jitter keeps
+                # applying when the breaker browns batches out to this
+                # mapper.
+                faults=self._faults,
             )
-        self._local_params = local_params
-        self._mapper = BatchToneMapper(
-            local_params,
-            threads=fused_threads,
-            plan=plan,
-            # Share the pool's injector: slow-batch jitter keeps applying
-            # when the breaker browns batches out to this mapper.
-            faults=self._faults,
-        )
+            undo.callback(self._mapper.close)
+            self._executor = ThreadPoolExecutor(
+                max_workers=max_workers, thread_name_prefix="tonemap"
+            )
+            undo.pop_all()
         self._degraded_plan = degraded_plan
         self._degraded_mapper: Optional[BatchToneMapper] = None
         self._degraded_active = False
         self._forced_brownout = False
         self._draining = False
         self._closed = False
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="tonemap"
-        )
         self._lock = threading.Lock()
         self._stats = ServiceStats()
         self._latencies_ms: deque = deque(maxlen=LATENCY_WINDOW)
@@ -473,17 +456,14 @@ class ToneMapService:
             )
 
     def _finish_batch(self, start: float, images: int, pixels: int) -> None:
-        """Record one completed batch and feed the pool's autoscaler.
+        """Record one completed batch.
 
         ``start`` was read from ``self._clock`` — all service timing
         goes through the injected clock, so a ``FakeClock`` drives the
-        latency window (and the autoscaler's p95) deterministically and
-        deadline math never mixes epochs with the stats.
+        latency window deterministically and deadline math never mixes
+        epochs with the stats.
         """
         elapsed = self._clock.now() - start
-        # Sorting the latency window costs O(W log W) under the lock, so
-        # pay it only when an autoscaler actually consumes the p95.
-        wants_p95 = self._scaled is not None
         with self._lock:
             self._latencies_ms.append(elapsed * 1e3)
             self._stats = replace(
@@ -494,14 +474,6 @@ class ToneMapService:
                 batches=self._stats.batches + 1,
                 queue_depth=self._stats.queue_depth - 1,
             )
-            depth = self._stats.queue_depth
-            p95_ms = (
-                _percentile(sorted(self._latencies_ms), 0.95)
-                if wants_p95
-                else None
-            )
-        if self._scaled is not None:
-            self._scaled.observe(depth, p95_ms)
 
     # ------------------------------------------------------------------
     # Overload ladder hooks
@@ -828,10 +800,6 @@ class ToneMapService:
             snapshot = replace(
                 snapshot,
                 shards_active=self._pool.active_shards,
-                scale_ups=self._scaled.scale_ups if self._scaled else 0,
-                scale_downs=(
-                    self._scaled.scale_downs if self._scaled else 0
-                ),
                 shard_respawns=self._pool.worker_respawns,
                 reliability=ReliabilityStats(
                     hedged_replays=self._pool.hedged_replays,

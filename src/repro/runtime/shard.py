@@ -25,7 +25,7 @@ slab and respawns the worker set (once per crash, however many batches
 observed it — generation counted), and the core replays the batch on
 the fresh workers, since its input frames still sit untouched in the
 arena.  ``tests/test_fault_injection.py`` SIGKILLs real workers to hold
-the no-leak / no-hang / autoscaler-alive contract.
+the no-leak / no-hang / respawn-before-dispatch contract.
 
 Workers attach to a segment **once** and cache the mapping by name —
 valid for the life of the arena, because pooled segments are only
@@ -44,17 +44,10 @@ Because ``blur_fn`` closures do not pickle, the fixed-point path is
 requested by shipping the frozen, picklable
 :class:`~repro.tonemap.fixed_blur.FixedBlurConfig` instead.
 
-**Autoscaling.**  With ``autoscale=True`` the pool starts ``max_shards``
-worker processes eagerly (they are cheap, warm, and never forked after
-caller threads exist) but fans batches out across only
-:attr:`active_shards` of them.  :class:`ShardAutoscaler` widens the
-active set when queue depth or p95 latency shows sustained pressure and
-narrows it after sustained idleness — both with hysteresis
-(:class:`AutoscalePolicy`), so a single burst does not flap the width.
-Parked workers cost memory, not CPU; narrowing keeps cache-hot workers
-busy instead of spraying small slabs across cold ones.  The service
-feeds observations after every batch and surfaces the active width via
-``ServiceStats``.
+**Fixed width.**  The pool starts exactly ``shards`` warm worker
+processes at construction (never forked after caller threads exist) and
+every batch splits into ``shards`` contiguous slabs — the width is
+chosen once, like the paper's synthesis-time accelerator sizing.
 
 Outputs remain bit-identical to the in-process
 :class:`~repro.runtime.batch.BatchToneMapper` path: workers run the same
@@ -75,7 +68,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -325,94 +318,15 @@ class _Watchdog:
             self._kill_fn()
 
 
-# ----------------------------------------------------------------------
-# Autoscaling
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class AutoscalePolicy:
-    """When the autoscaler widens or narrows the active shard set.
-
-    Pressure (grow signal) is queue depth exceeding the active width —
-    batches are waiting that an extra shard could absorb — or, when
-    ``target_p95_ms`` is set, the p95 batch latency exceeding it.
-    Idleness (shrink signal) is queue depth below the active width with
-    no pressure.  Hysteresis: a grow needs ``grow_patience`` consecutive
-    pressure observations, a shrink ``shrink_patience`` consecutive idle
-    ones, and any contradicting observation resets both counters — so a
-    lone burst or a lone quiet beat never flaps the width.
-    """
-
-    min_shards: int = 1
-    max_shards: int = 2
-    target_p95_ms: Optional[float] = None
-    grow_patience: int = 2
-    shrink_patience: int = 6
-
-    def __post_init__(self) -> None:
-        if self.min_shards < 1:
-            raise ToneMapError(
-                f"min_shards must be >= 1, got {self.min_shards}"
-            )
-        if self.max_shards < self.min_shards:
-            raise ToneMapError(
-                f"max_shards ({self.max_shards}) must be >= min_shards "
-                f"({self.min_shards})"
-            )
-        if self.grow_patience < 1 or self.shrink_patience < 1:
-            raise ToneMapError("autoscale patience values must be >= 1")
-
-
-class ShardAutoscaler:
-    """Pure hysteresis logic: observations in, target width out.
-
-    Deterministic and free of clocks or threads so tests can drive it
-    observation by observation; :class:`ShardPool` owns the single
-    instance and applies its decisions.
-    """
-
-    def __init__(self, policy: AutoscalePolicy):
-        self.policy = policy
-        self._hot = 0
-        self._cold = 0
-
-    def observe(
-        self, active: int, queue_depth: int, p95_ms: Optional[float] = None
-    ) -> int:
-        """Feed one observation; returns the new target active width."""
-        policy = self.policy
-        pressure = queue_depth > active or (
-            policy.target_p95_ms is not None
-            and p95_ms is not None
-            and p95_ms > policy.target_p95_ms
-        )
-        idle = not pressure and queue_depth < active
-        if pressure:
-            self._hot += 1
-            self._cold = 0
-        elif idle:
-            self._cold += 1
-            self._hot = 0
-        else:
-            self._hot = 0
-            self._cold = 0
-        if self._hot >= policy.grow_patience and active < policy.max_shards:
-            self._hot = 0
-            return active + 1
-        if self._cold >= policy.shrink_patience and active > policy.min_shards:
-            self._cold = 0
-            return active - 1
-        return min(max(active, policy.min_shards), policy.max_shards)
-
-
 class ShardPool(DispatchPool):
     """Tone-maps batches by sharding them across worker processes.
 
     The local-process transport of the dispatch core
     (:class:`~repro.runtime.dispatch.DispatchPool`, which owns the
     front door, the replay/hedge budgets and the counters).  One
-    attempt fans the batch out as contiguous slabs over the active
-    workers; a dead worker (``BrokenProcessPool``) is a crash, and a
-    watchdog kill at the attempt's budget is a timeout.  Either way the
+    attempt fans the batch out as contiguous slabs over the workers; a
+    dead worker (``BrokenProcessPool``) is a crash, and a watchdog kill
+    at the attempt's budget is a timeout.  Either way the
     worker set is respawned before the attempt reports.
 
     Parameters
@@ -422,7 +336,7 @@ class ShardPool(DispatchPool):
         closure cannot cross the process boundary; request the fixed-point
         path with ``fixed_config`` instead.
     shards:
-        Initial (and, without autoscaling, fixed) active worker count.
+        Worker process count; every batch splits into this many slabs.
     fixed_config:
         When given, every worker blurs with the bit-accurate fixed-point
         model built from this config (batched across its whole slab).
@@ -434,19 +348,6 @@ class ShardPool(DispatchPool):
         ``spawn``, because by then caller threads are live and forking a
         multi-threaded process can deadlock the child (see
         :meth:`_respawn`).
-    autoscale:
-        Enable the queue-depth / latency autoscaler.  ``max_shards``
-        workers are started eagerly (all forked before any caller thread
-        exists); the *active* set grows and shrinks between ``shards``
-        (as minimum) and ``max_shards`` under
-        :class:`AutoscalePolicy` hysteresis.
-    max_shards:
-        Ceiling for the active set; defaults to the host's CPU count (at
-        least ``shards``).  Requires ``autoscale=True``.
-    policy:
-        Autoscale policy override; defaults to
-        ``AutoscalePolicy(min_shards=shards, max_shards=max_shards)``.
-        Requires ``autoscale=True``.
     arena / arena_slots:
         Share an existing :class:`~repro.runtime.arena.ShmArena` (the
         owner closes it), or the ring/pool depth per size class of an
@@ -486,9 +387,6 @@ class ShardPool(DispatchPool):
         shards: int = 2,
         fixed_config: Optional[FixedBlurConfig] = None,
         start_method: Optional[str] = None,
-        autoscale: bool = False,
-        max_shards: Optional[int] = None,
-        policy: Optional[AutoscalePolicy] = None,
         arena: Optional[ShmArena] = None,
         arena_slots: int = 4,
         fused_threads: Optional[int] = None,
@@ -505,13 +403,6 @@ class ShardPool(DispatchPool):
             raise ToneMapError(
                 "blur_fn closures cannot cross the process boundary; pass "
                 "fixed_config=FixedBlurConfig(...) and let workers rebuild it"
-            )
-        if not autoscale and (max_shards is not None or policy is not None):
-            # Reject, don't ignore: a caller who set a bound expects it
-            # to bind.
-            raise ToneMapError(
-                "max_shards and policy bound the autoscaler; pass "
-                "autoscale=True to use them"
             )
         if fused_threads is None:
             # One fused thread per worker process: the pool already
@@ -533,40 +424,6 @@ class ShardPool(DispatchPool):
         self.fixed_config = fixed_config
         self.fused_threads = fused_threads
         self.plan = plan
-        if autoscale:
-            if max_shards is None:
-                max_shards = max(shards, os.cpu_count() or shards)
-            if max_shards < shards:
-                raise ToneMapError(
-                    f"max_shards ({max_shards}) must be >= shards ({shards})"
-                )
-            self._policy = policy or AutoscalePolicy(
-                min_shards=shards, max_shards=max_shards
-            )
-            if not (
-                self._policy.min_shards
-                <= shards
-                <= self._policy.max_shards
-            ):
-                raise ToneMapError(
-                    f"shards ({shards}) must lie within the autoscale "
-                    f"bounds [{self._policy.min_shards}, "
-                    f"{self._policy.max_shards}] — only that many worker "
-                    "processes exist"
-                )
-            self._autoscaler: Optional[ShardAutoscaler] = ShardAutoscaler(
-                self._policy
-            )
-            workers = self._policy.max_shards
-        else:
-            self._policy = None
-            self._autoscaler = None
-            workers = shards
-        self._workers = workers
-        self._active = shards
-        self._scale_ups = 0
-        self._scale_downs = 0
-        self._scale_lock = threading.Lock()
         super().__init__(
             arena=arena,
             arena_slots=arena_slots,
@@ -598,13 +455,12 @@ class ShardPool(DispatchPool):
         One pending task per worker forces the executor to start all
         processes, and resolving the futures proves each initializer
         ran.  At construction no process is ever forked after caller
-        threads exist — autoscaling only varies how many of these warm
-        workers a batch fans out across.  The warm-up wait is bounded:
+        threads exist.  The warm-up wait is bounded:
         a worker that cannot initialize must fail the pool loudly, not
         wedge it.
         """
         executor = ProcessPoolExecutor(
-            max_workers=self._workers,
+            max_workers=self.shards,
             mp_context=mp_context if mp_context is not None else self._mp_context,
             initializer=_init_worker,
             initargs=(
@@ -616,7 +472,7 @@ class ShardPool(DispatchPool):
         )
         try:
             for future in [
-                executor.submit(_worker_ready) for _ in range(self._workers)
+                executor.submit(_worker_ready) for _ in range(self.shards)
             ]:
                 if not future.result(timeout=120.0):  # pragma: no cover
                     raise ToneMapError("shard worker failed to initialize")
@@ -755,48 +611,10 @@ class ShardPool(DispatchPool):
         """Times the watchdog SIGKILLed the workers of an over-budget batch."""
         return self._watchdog.kills
 
-    # ------------------------------------------------------------------
-    # Autoscaling
-    # ------------------------------------------------------------------
     @property
     def active_shards(self) -> int:
-        """Workers a batch currently fans out across."""
-        return self._active
-
-    @property
-    def autoscaling(self) -> bool:
-        """Whether :meth:`observe` feeds a live autoscaler."""
-        return self._autoscaler is not None
-
-    @property
-    def scale_ups(self) -> int:
-        return self._scale_ups
-
-    @property
-    def scale_downs(self) -> int:
-        return self._scale_downs
-
-    def observe(
-        self, queue_depth: int, p95_ms: Optional[float] = None
-    ) -> int:
-        """Feed one load observation (queue depth, optional p95 latency).
-
-        The service calls this after every batch; the pool applies the
-        autoscaler's decision and returns the (possibly new) active
-        width.  A no-op without ``autoscale=True``.
-        """
-        if self._autoscaler is None:
-            return self._active
-        with self._scale_lock:
-            target = self._autoscaler.observe(
-                self._active, queue_depth, p95_ms
-            )
-            if target > self._active:
-                self._scale_ups += 1
-            elif target < self._active:
-                self._scale_downs += 1
-            self._active = target
-            return target
+        """Workers a batch fans out across (always ``shards``)."""
+        return self.shards
 
     # ------------------------------------------------------------------
     # Transport
@@ -810,7 +628,7 @@ class ShardPool(DispatchPool):
         timeout: Optional[float],
         avoid: object,
     ) -> ArenaLease:
-        """Fan one attempt out as slabs over the active workers.
+        """Fan one attempt out as slabs over the workers.
 
         A worker dying mid-batch (OOM kill, crash) breaks the whole
         ``ProcessPoolExecutor``: the attempt joins the broken executor,
@@ -850,7 +668,7 @@ class ShardPool(DispatchPool):
                 # submitted must stay tracked so the except path can
                 # quiesce them.
                 for slab_index, (lo, hi) in enumerate(
-                    _slab_bounds(count, self._active)
+                    _slab_bounds(count, self.shards)
                 ):
                     futures.append(
                         executor.submit(

@@ -9,7 +9,8 @@ their first slab) and assert the recovery contract of
 * a *persistently* crashing workload surfaces
   :class:`~repro.errors.ShardCrashError` instead of hanging;
 * no arena lease is leaked on any path and ``/dev/shm`` ends clean;
-* the autoscaler keeps operating across a respawn;
+* a worker that dies between batches is replaced before the next
+  batch dispatches;
 * futures handed out by the ingestor always resolve — no hung callers.
 
 Persistent-crash injection goes through the first-class
@@ -165,9 +166,13 @@ class TestWorkerKillRecovery:
             lease.release()
             assert pool.arena.stats.leases_active == 0
 
-    def test_autoscaler_keeps_operating_after_respawn(self):
+    def test_fixed_width_pool_respawns_before_next_batch(self):
+        # A worker that dies *between* batches: the next batch must
+        # respawn the set before it dispatches, not finish on the live
+        # sibling and leave the pool one worker short.
         stack = _stack()
-        with ShardPool(PARAMS, shards=1, autoscale=True, max_shards=2) as pool:
+        want = BatchToneMapper(PARAMS).run_stack(stack).astype(np.float32)
+        with ShardPool(PARAMS, shards=2) as pool:
             lease = pool.lease_input(stack.shape)
             lease.array[:] = stack
             pool.run_leased(lease).release()
@@ -180,17 +185,13 @@ class TestWorkerKillRecovery:
                 os.waitid(os.P_PID, victim, os.WEXITED | os.WNOWAIT)
             except ChildProcessError:
                 pass  # already reaped: dead either way
-            pool.run_leased(lease).release()  # respawn + replay
-            assert pool.worker_respawns >= 1
-            # The autoscaler state machine survived: observations still
-            # move the active width within bounds.
-            for _ in range(8):
-                pool.observe(queue_depth=8)
+            out = pool.run_leased(lease)
+            got = out.array.copy()
+            out.release()
+            assert pool.worker_respawns == 1
             assert pool.active_shards == 2
-            for _ in range(32):
-                pool.observe(queue_depth=0)
-            assert pool.active_shards == 1
-            pool.run_leased(lease).release()
+            assert victim not in pool.worker_pids()
+            np.testing.assert_array_equal(got, want)
             lease.release()
 
 

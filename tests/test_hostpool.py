@@ -21,7 +21,6 @@ import pytest
 from repro.errors import ToneMapError
 from repro.image import HDRImage
 from repro.runtime import (
-    AutoscalePolicy,
     BatchToneMapper,
     FaultPlan,
     HostPool,
@@ -136,7 +135,7 @@ class TestHostPoolEndToEnd:
 
     def test_shard_pool_compatible_surface(self, pool):
         # Both pools are transports of one dispatch core; neither
-        # subclasses the other, and the host pool has no autoscaler.
+        # subclasses the other, and neither steers its width from load.
         assert isinstance(pool, DispatchPool)
         assert not isinstance(pool, ShardPool)
         assert not hasattr(pool, "observe")
@@ -200,13 +199,26 @@ class TestHostedService:
             np.testing.assert_array_equal(got, want)
             assert service.stats.reliability.hosts_lost == 0
 
-    def test_hosted_service_rejects_an_autoscale_policy(self):
-        # Host membership is static: there is no host autoscaler to
-        # hand a policy to, so the service refuses it up front.
-        with pytest.raises(ToneMapError, match="autoscale=True"):
-            ToneMapService(
-                PARAMS, hosts=2, autoscale_policy=AutoscalePolicy()
-            )
+    @pytest.mark.parametrize(
+        "bad",
+        [{"fused_threads": 0}, {"shards": 2}],
+        ids=["mapper-fails", "validation-fails"],
+    )
+    def test_failed_constructor_closes_the_adopted_pool(self, bad):
+        # Regression: a constructor step that raised after the pool was
+        # adopted left its host process running, and interpreter exit
+        # then hung on it.
+        stack = _stack(frames=2, seed=4)
+        pool = HostPool.spawn_local(1, PARAMS, shards_per_host=1)
+        try:
+            lease = pool.lease_input(stack.shape)
+            lease.array[:] = stack
+            with pytest.raises(ToneMapError):
+                ToneMapService(PARAMS, hosts=pool, **bad)
+            with pytest.raises(ToneMapError, match="closed"):
+                pool.run_leased(lease)
+        finally:
+            pool.close()
 
 
 @pytest.mark.fault

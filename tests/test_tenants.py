@@ -600,10 +600,8 @@ class TestLeaseNativeResults:
             with pytest.raises(ToneMapError):
                 ToneMapIngestor(service, lease_results=True)
         with ToneMapService(PARAMS, batch_size=2, shards=1) as service:
-            with pytest.raises(ToneMapError):
-                ToneMapIngestor(
-                    service, lease_results=True, zero_copy=False
-                )
+            with ToneMapIngestor(service, lease_results=True) as ingestor:
+                assert ingestor.lease_results is True
 
     def test_submit_stack_lease_results_direct(self):
         # The service-level API underneath the ingestor flag.
